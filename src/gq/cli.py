@@ -5,18 +5,34 @@
     gq checks
 
 Exit codes: 0 all checks pass (degraded-mode counts as a non-failure),
-1 at least one check failed, 2 parse or semantic error.
+1 at least one check failed, 2 parse or semantic error or an out-of-range
+option (--steps below 1, --tolerance not a positive finite number).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 from . import dsl
 from .errors import ParseError, SemanticError
 from .session import CHECKS, Options, execute, report_render
+
+
+def positive_int(text) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def positive_float(text) -> float:
+    x = float(text)
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return x
 
 
 def _options_from(args) -> Options:
@@ -43,8 +59,8 @@ def main(argv=None) -> int:
     run = sub.add_parser("run", help="execute a DSL program")
     run.add_argument("file", help="program file")
     run.add_argument("--report", help="write the machine (JSON) report here")
-    run.add_argument("--steps", type=int, default=10_000)
-    run.add_argument("--tolerance", type=float, default=1e-6)
+    run.add_argument("--steps", type=positive_int, default=10_000)
+    run.add_argument("--tolerance", type=positive_float, default=1e-6)
     run.add_argument("--seed", type=int, default=0)
 
     check = sub.add_parser("check", help="run a single named check")
@@ -53,8 +69,8 @@ def main(argv=None) -> int:
     check.add_argument("-s", "--source", default="",
                        help="DSL statements that set up the bindings")
     check.add_argument("--report", help="write the machine (JSON) report here")
-    check.add_argument("--steps", type=int, default=10_000)
-    check.add_argument("--tolerance", type=float, default=1e-6)
+    check.add_argument("--steps", type=positive_int, default=10_000)
+    check.add_argument("--tolerance", type=positive_float, default=1e-6)
     check.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("checks", help="list available checks")

@@ -533,6 +533,8 @@ class GridMap:
             raise ValueError("values must be quaternions (...,4) or square matrices")
         if values.shape[0] < 2 or values.shape[1] < 2:
             raise ValueError("grid must be at least 2x2 nodes")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("grid values must be finite")
         if self.kind == "quaternion":
             err = np.max(np.abs(np.linalg.norm(values, axis=-1) - 1.0))
             if err > tol:
@@ -548,6 +550,8 @@ class GridMap:
         omega = np.asarray(omega, dtype=float)
         if omega.shape != (n1, n2):
             raise ValueError(f"omega must have shape {(n1, n2)}")
+        if not np.all(np.isfinite(omega)):
+            raise ValueError("omega must be finite")
         self.omega = omega
 
     @property

@@ -1,5 +1,7 @@
 """Path holonomy: oracle comparisons, groupoid laws, convergence."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -10,6 +12,108 @@ from gq import (
     reparametrize, reparametrize_check, reverse, save_apath,
 )
 from conftest import smooth_so3_path, so3_matrix
+
+SUITE_DATA = Path(__file__).resolve().parent.parent / "suite" / "data"
+
+
+# -- per-step reference integrator -----------------------------------------------
+# Scalar loops, one RK4 step and one interpolation at a time: the oracle the
+# batched integrator and the vectorised resampling are compared against.
+
+
+def _oracle_blocks(times):
+    out, lo = [], 0
+    for j in range(len(times) - 1):
+        if times[j + 1] == times[j]:
+            out.append((lo, j))
+            lo = j + 1
+    out.append((lo, len(times) - 1))
+    return [(lo, hi) for lo, hi in out if hi > lo]
+
+
+def _oracle_value(times, vals, t, lo, hi):
+    ts = times[lo:hi + 1]
+    j = int(np.searchsorted(ts, t, side="right")) - 1
+    j = min(max(j, 0), len(ts) - 2)
+    lam = (t - ts[j]) / (ts[j + 1] - ts[j])
+    return (1 - lam) * vals[lo + j] + lam * vals[lo + j + 1]
+
+
+def _rk4_step(a_of_t, g, t, h, left=True):
+    def f(gv, tv):
+        a = a_of_t(tv)
+        return gv @ a if left else a @ gv
+
+    k1 = f(g, t)
+    k2 = f(g + 0.5 * h * k1, t + 0.5 * h)
+    k3 = f(g + 0.5 * h * k2, t + 0.5 * h)
+    k4 = f(g + h * k3, t + h)
+    return g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _oracle_integrate(p, steps, left):
+    g = np.eye(p.dim)
+    for lo, hi in _oracle_blocks(p.times):
+        t0, t1 = p.times[lo], p.times[hi]
+        nsteps = max(1, int(round(steps * (t1 - t0))))
+        h = (t1 - t0) / nsteps
+        for k in range(nsteps):
+            g = _rk4_step(lambda t: _oracle_value(p.times, p.mats, t, lo, hi),
+                          g, t0 + k * h, h, left)
+    return g
+
+
+def _oracle_reparametrize(p, phi_samples):
+    s, phi = phi_samples[:, 0], phi_samples[:, 1]
+    dphi = np.gradient(phi, s, edge_order=2)
+    blocks = _oracle_blocks(p.times)
+    mats = np.empty((len(s), p.dim, p.dim))
+    base = None if p.base is None else np.empty((len(s), p.base.shape[1]))
+    for j, pj in enumerate(phi):
+        lo, hi = next(b for b in blocks if p.times[b[0]] <= pj <= p.times[b[1]])
+        mats[j] = _oracle_value(p.times, p.mats, pj, lo, hi) * dphi[j]
+        if base is not None:
+            base[j] = _oracle_value(p.times, p.base, pj, lo, hi)
+    return mats, base
+
+
+def _gl3_path(nprng, times):
+    """Non-commuting, non-skew samples, so a factor-order slip shows."""
+    c = nprng.normal(size=(3, 3, 3)) * 0.6
+    mats = np.stack([c[0] + c[1] * np.sin(3 * t) + c[2] * t * t for t in times])
+    # the zero section is a base curve of every linear action path
+    return APath(times, mats, np.zeros((len(times), 3)))
+
+
+def _oracle_paths(nprng):
+    two_blocks = concatenate(_gl3_path(nprng, np.linspace(0, 1, 9)),
+                             _gl3_path(nprng, np.linspace(0, 1, 6)))
+    uneven = np.concatenate([[0.0], np.sort(nprng.uniform(0, 1, size=11)), [1.0]])
+    return {"two_blocks": two_blocks, "uneven": _gl3_path(nprng, uneven)}
+
+
+@pytest.mark.parametrize("steps", [1, 511, 512, 513, 10_000])
+@pytest.mark.parametrize("name", ["two_blocks", "uneven"])
+def test_batched_rk4_matches_per_step_oracle(nprng, name, steps):
+    p = _oracle_paths(nprng)[name]
+    assert len(p.blocks()) == (2 if name == "two_blocks" else 1)
+    g_left = integrate(p, steps).holonomy
+    assert np.max(np.abs(g_left - _oracle_integrate(p, steps, left=True))) <= 1e-12
+    g_right = action_integrate(p, steps).holonomy
+    assert np.max(np.abs(g_right - _oracle_integrate(p, steps, left=False))) <= 1e-12
+
+
+def test_exp_of_shipped_constant_path():
+    p = load_apath(SUITE_DATA / "const_so3.apath")
+    g = integrate(p, 10_000).holonomy
+    assert np.max(np.abs(g - expm(p.mats[0]))) <= 1e-14
+
+
+def test_blocks_match_scalar_loop():
+    times = [0.0, 0.2, 0.2, 0.2, 0.5, 0.5, 0.7, 1.0]
+    p = APath(times, np.zeros((len(times), 2, 2)))
+    assert p.blocks() == _oracle_blocks(p.times) == [(0, 1), (3, 4), (5, 7)]
+    assert all(type(i) is int for b in p.blocks() for i in b)
 
 
 def test_constant_path_matches_exponential(nprng):
@@ -170,3 +274,56 @@ def test_invalid_paths_rejected():
         APath([0.0, 0.5], np.zeros((2, 2, 2)))      # does not end at 1
     with pytest.raises(ValueError):
         APath([0.0, 1.0], np.zeros((2, 2, 3)))      # non-square
+
+
+def _smoothstep_phi(n):
+    s = np.linspace(0.0, 1.0, n)
+    return np.stack([s, s * s * (3 - 2 * s)], axis=1)
+
+
+def test_reparametrize_matches_scalar_loop_unbased(nprng):
+    p = concatenate(smooth_so3_path(nprng), smooth_so3_path(nprng, segments=7))
+    phi = _smoothstep_phi(4001)
+    mats, base = _oracle_reparametrize(p, phi)
+    q = reparametrize(p, phi)
+    assert q.base is None and base is None
+    assert np.max(np.abs(q.mats - mats)) <= 1e-14
+
+
+def test_reparametrize_matches_scalar_loop_based():
+    X, Y = so3_matrix([0.8, -1.1, 0.5]), so3_matrix([-0.3, 0.4, 0.9])
+    p = constant_path(X, nsamples=21, base_point=np.array([1.0, 0.0, 0.0]))
+    q = constant_path(Y, nsamples=13, base_point=p.base[-1])
+    pq = concatenate(p, q)
+    phi = _smoothstep_phi(1001)
+    mats, base = _oracle_reparametrize(pq, phi)
+    r = reparametrize(pq, phi)
+    assert np.max(np.abs(r.mats - mats)) <= 1e-14
+    assert np.max(np.abs(r.base - base)) <= 1e-14
+
+
+def test_action_checks_the_recorded_endpoint():
+    # the base drifts off the transported curve by t * delta: its slope stays
+    # within the anchor tolerance, but its endpoint misses G(1) gamma(0)
+    X = so3_matrix([0.8, -1.1, 0.5])
+    ts = np.linspace(0.0, 1.0, 101)
+    x0, delta = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 0.01])
+    base = np.stack([expm(t * X) @ x0 + t * delta for t in ts])
+    p = APath(ts, np.repeat(X[None], len(ts), axis=0), base)
+    assert p.anchor_residual() < 0.05
+    with pytest.raises(InconsistentPathError, match="recorded endpoint"):
+        action_integrate(p, 1000)
+    good = APath(ts, p.mats, base - ts[:, None] * delta)
+    el = action_integrate(good, 1000)
+    assert np.max(np.abs(el.target - good.base[-1])) < 1e-9
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_apath_rejects_non_finite(tmp_path, bad):
+    f = tmp_path / "p.apath"
+    f.write_text(f"dim 1\n0.0 0.5\n0.5 {bad}\n1.0 0.5\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_apath(f)
+    f.write_text(f"dim 1\n0.0 0.5 1.0\n1.0 0.5 {bad}\n")   # in the base column
+    with pytest.raises(ValueError, match="finite"):
+        load_apath(f)

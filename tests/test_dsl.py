@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from gq import dsl
+from gq import APath, dsl, save_apath
 from gq.cli import main as cli_main
 from gq.errors import ParseError, SemanticError
 from gq.session import CHECKS, Options, analyze, execute, report_render, run_source
@@ -161,6 +163,40 @@ def test_missing_load_file_is_semantic_error(tmp_path):
         execute(dsl.parse('load path P "nope.apath";'), Options(base_dir=tmp_path))
 
 
+def test_unexpected_exception_in_check_becomes_fail_record():
+    # path_a has no base curve, so action_integrate raises ValueError
+    src = ('load path P "data/path_a.apath"; load path C "data/const_so3.apath";'
+           "check action P; check exp C;")
+    rep = execute(dsl.parse(src), Options(base_dir=SUITE))
+    assert [r.verdict for r in rep.records] == ["fail", "pass"]
+    assert rep.records[0].witness == "error: ValueError: action_integrate needs base samples"
+    assert rep.records[0].residual is None
+
+
+def test_action_fails_when_base_misses_transport(tmp_path):
+    X = np.array([[0.0, -0.5, -1.1], [0.5, 0.0, -0.8], [1.1, 0.8, 0.0]])
+    ts = np.linspace(0.0, 1.0, 101)
+    base = np.stack([expm(t * X) @ [1.0, 0.0, 0.0] + [0.0, 0.0, 0.012 * t] for t in ts])
+    save_apath(APath(ts, np.repeat(X[None], len(ts), axis=0), base), tmp_path / "off.apath")
+    rep = execute(dsl.parse('load path A "off.apath"; check action A;'),
+                  Options(base_dir=tmp_path))
+    assert rep.records[0].verdict == "fail"
+    assert "recorded endpoint" in rep.records[0].witness
+
+
+@pytest.mark.parametrize("kind,text", [
+    ("path", "dim 1\n0.0 0.5\n1.0 nan\n"),
+    ("grid", "grid 1 1\nnode 0 0 1 0 0 0\nnode 0 1 1 0 0 0\nnode 1 0 1 0 0 0\n"
+             "node 1 1 1 0 0 0\ncell 0 0 inf\n"),
+    ("grid", "grid 1 1\nnode 0 0 1 0 0 0\nnode 0 1 nan 0 0 0\nnode 1 0 1 0 0 0\n"
+             "node 1 1 1 0 0 0\n"),
+])
+def test_non_finite_load_is_semantic_error(tmp_path, kind, text):
+    (tmp_path / "bad.dat").write_text(text)
+    with pytest.raises(SemanticError, match="finite"):
+        execute(dsl.parse(f'load {kind} B "bad.dat";'), Options(base_dir=tmp_path))
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -186,6 +222,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     syn.write_text("chart X {")
     assert cli_main(["run", str(syn)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option", ["--steps=0", "--steps=-5", "--tolerance=nan",
+                                    "--tolerance=inf", "--tolerance=0", "--tolerance=-1e-6"])
+def test_cli_out_of_range_option_exits_2(tmp_path, capsys, option):
+    f = tmp_path / "p.gq"
+    f.write_text(MINIMAL)
+    for argv in (["run", str(f)], ["check", "q2", "Q", "-s", MINIMAL]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + [option])
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
 
 
 def test_cli_one_shot_check(capsys):
