@@ -12,17 +12,32 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import StructureError
 from .linalg import (
-    column_space_basis, extend_to_basis, in_span, mat_mul, mat_vec, nullspace,
-    rank, shape, span_contains, span_dim, stack_columns, transpose, zeros,
+    Matrix, as_matrix, column_space_basis, dot, extend_to_basis, mat_mul, mat_vec,
+    nullspace, rank, solve, span_contains, span_dim,
 )
 
 # ---------------------------------------------------------------------------
 # Graded complexes
 # ---------------------------------------------------------------------------
+
+
+def _matrices(matrices, shape_of, what):
+    """Convert each matrix once and check its shape; keep those with entries
+    in both dimensions."""
+    out = {}
+    for k, M in matrices.items():
+        M = as_matrix(M)
+        if M.shape != shape_of(k):
+            rows, cols = M.shape
+            want_rows, want_cols = shape_of(k)
+            raise ValueError(f"{what} at degree {k} has shape {rows}x{cols}, "
+                             f"expected {want_rows}x{want_cols}")
+        if all(M.shape):
+            out[k] = M
+    return out
 
 
 class GradedComplex:
@@ -31,20 +46,12 @@ class GradedComplex:
 
     def __init__(self, components, differentials):
         self.components = {k: d for k, d in components.items() if d > 0}
-        self.differentials = {}
-        for k, M in differentials.items():
-            rows, cols = shape(M)
-            if cols != self.dim(k) or rows != self.dim(k + 1):
-                raise ValueError(f"differential at degree {k} has shape {rows}x{cols}, "
-                                 f"expected {self.dim(k + 1)}x{self.dim(k)}")
-            if rows and cols:
-                self.differentials[k] = [[Fraction(x) for x in row] for row in M]
-        for k in list(self.differentials):
+        self.differentials = _matrices(differentials, lambda k: (self.dim(k + 1), self.dim(k)),
+                                       "differential")
+        for k, M in self.differentials.items():
             up = self.differentials.get(k + 1)
-            if up is not None:
-                prod = mat_mul(up, self.differentials[k])
-                if any(x != 0 for row in prod for x in row):
-                    raise StructureError(f"d^2 != 0 between degrees {k} and {k + 2}")
+            if up is not None and any(mat_mul(up, M).rows):
+                raise StructureError(f"d^2 != 0 between degrees {k} and {k + 2}")
 
     def dim(self, k: int) -> int:
         return self.components.get(k, 0)
@@ -52,26 +59,16 @@ class GradedComplex:
     def degrees(self):
         return sorted(self.components)
 
-    def d(self, k: int):
+    def d(self, k: int) -> Matrix:
         M = self.differentials.get(k)
-        if M is None:
-            return zeros(self.dim(k + 1), self.dim(k))
-        return M
+        return Matrix.zero(self.dim(k + 1), self.dim(k)) if M is None else M
 
     def cocycles(self, k: int):
-        """Basis of ker d_k, as column vectors."""
-        n = self.dim(k)
-        if n == 0:
-            return []
-        if self.dim(k + 1) == 0:
-            return [[Fraction(1) if i == j else Fraction(0) for i in range(n)]
-                    for j in range(n)]
+        """Basis of ker d_k, as vectors."""
         return nullspace(self.d(k))
 
     def coboundaries(self, k: int):
         """Basis of im d_{k-1} inside degree k."""
-        if self.dim(k) == 0 or self.dim(k - 1) == 0:
-            return []
         return column_space_basis(self.d(k - 1))
 
     def cohomology(self):
@@ -95,56 +92,47 @@ class GradedComplex:
         return sum((-1) ** k * d for k, d in self.components.items())
 
 
+def _block_offsets(dims1, dims2):
+    """Direct-sum layout of the blocks V_i (x) W_j by total degree i + j, in
+    (i, j) order: degree -> {(i, j): offset of the block}, and degree ->
+    total dimension."""
+    offsets, comps = {}, {}
+    for i, j in sorted(itertools.product(dims1, dims2)):
+        t = i + j
+        offsets.setdefault(t, {})[(i, j)] = comps.get(t, 0)
+        comps[t] = comps.get(t, 0) + dims1[i] * dims2[j]
+    return offsets, comps
+
+
+def _eye(n: int) -> Matrix:
+    return Matrix([{i: 1} for i in range(n)], n)
+
+
+def _kron_entries(A: Matrix, B: Matrix, r0: int, c0: int, scale=1):
+    """Entries of scale * (A x B), with B's index varying fastest, placed
+    with their top-left corner at (r0, c0)."""
+    nr, nc = B.shape
+    return ((r0 + i * nr + p, c0 + j * nc + q, scale * x * y)
+            for i, row in enumerate(A.rows) for j, x in row.items()
+            for p, brow in enumerate(B.rows) for q, y in brow.items())
+
+
 def tensor_complex(A: GradedComplex, B: GradedComplex) -> GradedComplex:
     """Tensor product with the Koszul-signed differential dA x 1 + (-1)^i 1 x dB."""
-    comps = {}
-    blocks = {}
-    for i in A.degrees():
-        for j in B.degrees():
-            t = i + j
-            blocks.setdefault(t, []).append((i, j))
-            comps[t] = comps.get(t, 0) + A.dim(i) * B.dim(j)
-    for t in blocks:
-        blocks[t].sort()
-
-    def offset(t, i, j):
-        off = 0
-        for (a, b) in blocks[t]:
-            if (a, b) == (i, j):
-                return off
-            off += A.dim(a) * B.dim(b)
-        raise KeyError
-
+    offsets, comps = _block_offsets(A.components, B.components)
     diffs = {}
-    for t in sorted(blocks):
-        rows = comps.get(t + 1, 0)
-        cols = comps[t]
-        if rows == 0 or cols == 0:
+    for t, blocks in offsets.items():
+        up = offsets.get(t + 1)
+        if up is None:
             continue
-        M = zeros(rows, cols)
-        for (i, j) in blocks[t]:
-            col0 = offset(t, i, j)
-            dim_a, dim_b = A.dim(i), B.dim(j)
-            dA = A.d(i)
-            if A.dim(i + 1):
-                row0 = offset(t + 1, i + 1, j)
-                for a2 in range(A.dim(i + 1)):
-                    for a1 in range(dim_a):
-                        if dA[a2][a1] == 0:
-                            continue
-                        for b1 in range(dim_b):
-                            M[row0 + a2 * dim_b + b1][col0 + a1 * dim_b + b1] += dA[a2][a1]
-            dB = B.d(j)
-            if B.dim(j + 1):
-                row0 = offset(t + 1, i, j + 1)
-                sgn = Fraction(-1) if i % 2 else Fraction(1)
-                for b2 in range(B.dim(j + 1)):
-                    for b1 in range(dim_b):
-                        if dB[b2][b1] == 0:
-                            continue
-                        for a1 in range(dim_a):
-                            M[row0 + a1 * B.dim(j + 1) + b2][col0 + a1 * dim_b + b1] += sgn * dB[b2][b1]
-        diffs[t] = M
+        entries = []
+        for (i, j), col0 in blocks.items():
+            if (i + 1, j) in up:
+                entries += _kron_entries(A.d(i), _eye(B.dim(j)), up[(i + 1, j)], col0)
+            if (i, j + 1) in up:
+                entries += _kron_entries(_eye(A.dim(i)), B.d(j), up[(i, j + 1)], col0,
+                                         -1 if i % 2 else 1)
+        diffs[t] = Matrix.from_entries(comps[t + 1], comps[t], entries)
     return GradedComplex(comps, diffs)
 
 
@@ -164,27 +152,21 @@ class SymplecticComplex:
     def __init__(self, complex_: GradedComplex, pairing_degree: int, pairings):
         self.complex = complex_
         self.pairing_degree = pairing_degree
-        self.pairings = {}
-        for k, M in pairings.items():
-            rows, cols = shape(M)
-            if rows != complex_.dim(k) or cols != complex_.dim(pairing_degree - k):
-                raise ValueError(f"pairing at degree {k} has shape {rows}x{cols}, expected "
-                                 f"{complex_.dim(k)}x{complex_.dim(pairing_degree - k)}")
-            if rows and cols:
-                self.pairings[k] = [[Fraction(x) for x in row] for row in M]
+        self.pairings = _matrices(
+            pairings, lambda k: (complex_.dim(k), complex_.dim(pairing_degree - k)), "pairing")
 
     def dim(self, k):
         return self.complex.dim(k)
 
-    def pairing(self, k):
+    def pairing(self, k) -> Matrix:
         M = self.pairings.get(k)
-        if M is None:
-            return zeros(self.dim(k), self.dim(self.pairing_degree - k))
-        return M
+        return Matrix.zero(self.dim(k), self.dim(self.pairing_degree - k)) if M is None else M
 
-    def pair_vectors(self, k, u, v) -> Fraction:
-        """<u, v> for u in C^k, v in C^{D-k}."""
-        return sum(x * y for x, y in zip(u, mat_vec(self.pairing(k), v)))
+    def pair_matrix(self, k, us, vs) -> Matrix:
+        """The matrix of <u, v> for u in us (in C^k) and v in vs (in C^{D-k})."""
+        pvs = [mat_vec(self.pairing(k), v) for v in vs]
+        return Matrix([{j: x for j, pv in enumerate(pvs) if (x := dot(u, pv))} for u in us],
+                      len(vs))
 
     def chain_nondegenerate(self) -> bool:
         """Every P_k square and invertible (on degrees with content)."""
@@ -201,16 +183,9 @@ class SymplecticComplex:
         D = self.pairing_degree
         degs = set(self.complex.degrees()) | {k - 1 for k in self.complex.degrees()}
         for k in sorted(degs):
-            rows, cols = self.dim(k), self.dim(D - k - 1)
-            if rows == 0 or cols == 0:
-                continue
-            lhs = _mul(transpose(self.complex.d(k)), self.pairing(k + 1),
-                       rows, self.dim(k + 1), cols)
-            sgn = Fraction(-1) if k % 2 else Fraction(1)
-            rhs = _mul(self.pairing(k), self.complex.d(D - k - 1),
-                       rows, self.dim(D - k), cols)
-            total = [[a + sgn * b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
-            if any(x != 0 for row in total for x in row):
+            lhs = mat_mul(self.complex.d(k).T, self.pairing(k + 1))
+            rhs = mat_mul(self.pairing(k), self.complex.d(D - k - 1))
+            if lhs != (rhs if k % 2 else -rhs):
                 return k
         return None
 
@@ -236,12 +211,10 @@ def cohomology_pairing(S: SymplecticComplex) -> CohomologyPairing:
     blocks = {}
     nondeg = True
     for k, rk in reps.items():
-        rl = reps.get(D - k, [])
         if not rk:
             continue
-        block = [[S.pair_vectors(k, u, v) for v in rl] for u in rk]
-        blocks[k] = block
-        r = rank(block) if rk and rl else 0
+        blocks[k] = S.pair_matrix(k, rk, reps.get(D - k, []))
+        r = rank(blocks[k])
         if r != dims.get(k, 0) or r != dims.get(D - k, 0):
             nondeg = False
     for k, d in dims.items():
@@ -263,14 +236,8 @@ class RelativeComplex:
                  restriction):
         self.total = total
         self.boundary = boundary
-        self.restriction = {}
-        for k, M in restriction.items():
-            rows, cols = shape(M)
-            if rows != boundary.dim(k) or cols != total.dim(k):
-                raise ValueError(f"restriction at degree {k}: shape {rows}x{cols}, "
-                                 f"expected {boundary.dim(k)}x{total.dim(k)}")
-            if rows and cols:
-                self.restriction[k] = [[Fraction(x) for x in row] for row in M]
+        self.restriction = _matrices(restriction, lambda k: (boundary.dim(k), total.dim(k)),
+                                     "restriction")
         if boundary.pairing_degree != total.pairing_degree - 1:
             raise ValueError("boundary pairing degree must drop by one")
         bad = self._chain_map_violation()
@@ -280,63 +247,32 @@ class RelativeComplex:
         if bad is not None:
             raise StructureError(f"Stokes identity fails at degree {bad}")
 
-    def r(self, k):
+    def r(self, k) -> Matrix:
         M = self.restriction.get(k)
-        if M is None:
-            return zeros(self.boundary.dim(k), self.total.dim(k))
-        return M
+        return Matrix.zero(self.boundary.dim(k), self.total.dim(k)) if M is None else M
 
     def _chain_map_violation(self):
         for k in self.total.complex.degrees():
-            rows, cols = self.boundary.dim(k + 1), self.total.dim(k)
-            if rows == 0 or cols == 0:
-                continue
-            lhs = _mul(self.r(k + 1), self.total.complex.d(k),
-                       rows, self.total.dim(k + 1), cols)
-            rhs = _mul(self.boundary.complex.d(k), self.r(k),
-                       rows, self.boundary.dim(k), cols)
-            if any(a != b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb)):
+            if (mat_mul(self.r(k + 1), self.total.complex.d(k))
+                    != mat_mul(self.boundary.complex.d(k), self.r(k))):
                 return k
         return None
 
     def stokes_violation(self):
         """Degree where <u', v'>_b != <du, v> + (-1)^k <u, dv>, or None."""
         D = self.total.pairing_degree
-        degs = set(self.total.complex.degrees())
-        for k in sorted(degs):
-            rows = self.total.dim(k)
-            cols = self.total.dim(D - 1 - k)
-            if rows == 0 or cols == 0:
-                continue
-            inner = _mul(self.boundary.pairing(k), self.r(D - 1 - k),
-                         self.boundary.dim(k), self.boundary.dim(D - 1 - k), cols)
-            lhs = _mul(transpose(self.r(k)), inner, rows, self.boundary.dim(k), cols)
-            t1 = _mul(transpose(self.total.complex.d(k)), self.total.pairing(k + 1),
-                      rows, self.total.dim(k + 1), cols)
-            sgn = Fraction(-1) if k % 2 else Fraction(1)
-            t2 = _mul(self.total.pairing(k), self.total.complex.d(D - 1 - k),
-                      rows, self.total.dim(D - k), cols)
-            rhs = [[a + sgn * b for a, b in zip(ra, rb)] for ra, rb in zip(t1, t2)]
-            if any(a != b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb)):
+        for k in self.total.complex.degrees():
+            inner = mat_mul(self.boundary.pairing(k), self.r(D - 1 - k))
+            lhs = mat_mul(self.r(k).T, inner)
+            t1 = mat_mul(self.total.complex.d(k).T, self.total.pairing(k + 1))
+            t2 = mat_mul(self.total.pairing(k), self.total.complex.d(D - 1 - k))
+            if lhs != t1 + (-t2 if k % 2 else t2):
                 return k
         return None
 
     def sub_kernel(self, k):
         """Basis of Gamma_0^k: sections restricting to zero on the boundary."""
-        n = self.total.dim(k)
-        if n == 0:
-            return []
-        if self.boundary.dim(k) == 0:
-            return [[Fraction(1) if i == j else Fraction(0) for i in range(n)]
-                    for j in range(n)]
         return nullspace(self.r(k))
-
-
-def _mul(A, B, rows, mid, cols):
-    """Matrix product that tolerates zero inner/outer dimensions."""
-    if rows == 0 or cols == 0 or mid == 0:
-        return zeros(rows, cols)
-    return mat_mul(A, B)
 
 
 def closed_relative(S: SymplecticComplex) -> RelativeComplex:
@@ -384,25 +320,16 @@ def lemma3_orthogonality(R: RelativeComplex) -> LemmaThreeReport:
     z = {k: C.cocycles(k) for k in degs}
     b0 = {}
     for k in degs:
-        vecs = []
-        for v in R.sub_kernel(k - 1):
-            w = mat_vec(C.d(k - 1), v) if C.dim(k - 1) and C.dim(k) else None
-            if w is not None and any(x != 0 for x in w):
-                vecs.append(w)
-        b0[k] = vecs
+        images = (mat_vec(C.d(k - 1), v) for v in R.sub_kernel(k - 1))
+        b0[k] = [w for w in images if w]
     perp = {}
     for k in degs:
-        n = C.dim(k)
-        if n == 0:
-            perp[k] = []
-            continue
         rows = []
-        partners = b0.get(D - k, [])
-        for b in partners:
-            rows.append(mat_vec(S.pairing(k), b))             # <v, b> = 0
-            rows.append(mat_vec(transpose(S.pairing(D - k)), b))  # <b, v> = 0
-        perp[k] = nullspace(rows) if rows else [
-            [Fraction(1) if i == j else Fraction(0) for i in range(n)] for j in range(n)]
+        P, PT = S.pairing(k), S.pairing(D - k).T
+        for b in b0.get(D - k, []):
+            rows.append(mat_vec(P, b))             # <v, b> = 0
+            rows.append(mat_vec(PT, b))            # <b, v> = 0
+        perp[k] = nullspace(Matrix(rows, C.dim(k)))
     inclusion = all(span_contains(perp[k], z[k]) for k in degs)
     equality = inclusion and all(span_dim(perp[k]) == span_dim(z[k]) for k in degs)
     # quotient Z / B0 with its induced pairing
@@ -411,17 +338,16 @@ def lemma3_orthogonality(R: RelativeComplex) -> LemmaThreeReport:
     total_dim = sum(qdims.values())
     nondeg = True
     if total_dim:
-        order = [(k, i) for k in sorted(qdims) for i in range(qdims[k])]
-        pos = {ki: idx for idx, ki in enumerate(order)}
-        big = zeros(total_dim, total_dim)
+        pos, entries = {}, []
         for k in sorted(qdims):
-            l = D - k
-            if l not in qdims:
+            pos[k] = sum(qdims[j] for j in pos)
+        for k in qdims:
+            if D - k not in qdims:
                 continue
-            for i, u in enumerate(reps[k]):
-                for j, v in enumerate(reps[l]):
-                    big[pos[(k, i)]][pos[(l, j)]] = S.pair_vectors(k, u, v)
-        nondeg = rank(big) == total_dim
+            block = S.pair_matrix(k, reps[k], reps[D - k])
+            entries += ((pos[k] + i, pos[D - k] + j, x)
+                        for i, row in enumerate(block.rows) for j, x in row.items())
+        nondeg = rank(Matrix.from_entries(total_dim, total_dim, entries)) == total_dim
     return LemmaThreeReport(
         mode="strict" if strict else "degraded",
         equality=equality, inclusion=inclusion,
@@ -465,11 +391,8 @@ def boundary_lagrangian(R: RelativeComplex) -> BoundaryLagrangianReport:
         bnd = bc.coboundaries(k)
         vecs = []
         for ztot in reps:
-            if R.total.dim(k) == 0 or bc.dim(k) == 0:
-                continue
-            w = mat_vec(R.r(k), ztot)
-            coords = _class_coordinates(w, h_reps, bnd)
-            if coords is not None and any(x != 0 for x in coords):
+            coords = _class_coordinates(mat_vec(R.r(k), ztot), h_reps, bnd, bc.dim(k))
+            if coords:
                 vecs.append(coords)
         if vecs:
             image_vectors[k] = vecs
@@ -482,32 +405,25 @@ def boundary_lagrangian(R: RelativeComplex) -> BoundaryLagrangianReport:
         partners = image_vectors.get(D - k, [])
         if block is None:
             continue
-        for u in vecs:
-            for v in partners:
-                val = sum(a * x for a, x in zip(u, mat_vec(block, v)))
-                if val != 0:
-                    iso = False
+        for v in partners:
+            bv = mat_vec(block, v)
+            if any(dot(u, bv) for u in vecs):
+                iso = False
     return BoundaryLagrangianReport(
         isotropic=iso, image_dim=image_dim, boundary_h_dim=h_dim,
         boundary_pairing_nondegenerate=bound_pairing.nondegenerate)
 
 
-def _class_coordinates(w, h_reps, coboundaries):
-    """Express the cocycle w as sum(c_i * h_reps[i]) + coboundary; returns c."""
+def _class_coordinates(w, h_reps, coboundaries, n):
+    """Express the cocycle w in C^k, n = dim C^k, as sum(c_i * h_reps[i]) +
+    coboundary; returns c."""
     cols = list(h_reps) + list(coboundaries)
     if not cols:
-        return None if any(x != 0 for x in w) else []
-    A = stack_columns(cols, length=len(w))
-    sol = _solve(A, w)
+        return None if w else {}
+    sol = solve(Matrix(cols, n).T, w)
     if sol is None:
         raise StructureError("restriction of a cocycle is not a boundary cocycle")
-    return sol[:len(h_reps)]
-
-
-def _solve(A, b):
-    from .linalg import solve
-
-    return solve(A, b)
+    return {i: x for i, x in sol.items() if i < len(h_reps)}
 
 
 # ---------------------------------------------------------------------------
@@ -582,13 +498,10 @@ class SimplicialComplex:
 
     def coboundary(self, k: int):
         """(d alpha)(s) = sum_i (-1)^i alpha(s without vertex i), s of dim k+1."""
-        rows, cols = self.dim(k + 1), self.dim(k)
-        M = zeros(rows, cols)
-        for s, row in self.index.get(k + 1, {}).items():
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                M[row][self.index[k][face]] += Fraction(-1) ** i
-        return M
+        return Matrix.from_entries(
+            self.dim(k + 1), self.dim(k),
+            ((row, self.index[k][s[:i] + s[i + 1:]], (-1) ** i)
+             for s, row in self.index.get(k + 1, {}).items() for i in range(len(s))))
 
     def boundary_chain(self):
         """Coefficients of the boundary of the fundamental chain, by simplex."""
@@ -596,7 +509,7 @@ class SimplicialComplex:
         for s, sign in self.fundamental:
             for i in range(len(s)):
                 face = s[:i] + s[i + 1:]
-                c = out.get(face, Fraction(0)) + sign * Fraction(-1) ** i
+                c = out.get(face, 0) + sign * (-1) ** i
                 if c == 0:
                     out.pop(face, None)
                 else:
@@ -618,18 +531,16 @@ class SimplicialComplex:
         for k in keep:
             if not keep.get(k + 1):
                 continue
-            M = zeros(len(keep[k + 1]), len(keep[k]))
-            for s in keep[k + 1]:
-                for i in range(len(s)):
-                    face = s[:i] + s[i + 1:]
-                    if face in idx[k]:
-                        M[idx[k + 1][s]][idx[k][face]] += Fraction(-1) ** i
-            diffs[k] = M
+            faces = ((row, s[:i] + s[i + 1:], (-1) ** i)
+                     for row, s in enumerate(keep[k + 1]) for i in range(len(s)))
+            diffs[k] = Matrix.from_entries(len(keep[k + 1]), len(keep[k]),
+                                           ((row, idx[k][f], x) for row, f, x in faces
+                                            if f in idx[k]))
         return GradedComplex(comps, diffs)
 
 
 def _perm_sign(t):
-    sign = Fraction(1)
+    sign = 1
     t = list(t)
     for i in range(len(t)):
         for j in range(i + 1, len(t)):
@@ -638,13 +549,11 @@ def _perm_sign(t):
     return sign
 
 
-def _grid_triangles(idx, m1, m2, wrap1, wrap2):
+def _grid_triangles(idx, m1, m2):
     """Counterclockwise triangle pairs per grid square."""
     tops = []
-    ni = m1 if wrap1 else m1
-    nj = m2 if wrap2 else m2
-    for i in range(ni):
-        for j in range(nj):
+    for i in range(m1):
+        for j in range(m2):
             a = idx(i, j)
             b = idx(i + 1, j)
             c = idx(i + 1, j + 1)
@@ -658,21 +567,21 @@ def torus_complex(m1: int, m2: int) -> SimplicialComplex:
     if m1 < 3 or m2 < 3:
         raise ValueError("torus lattice needs at least 3 cells per direction")
     idx = lambda i, j: (i % m1) * m2 + (j % m2)
-    return SimplicialComplex(_grid_triangles(idx, m1, m2, True, True))
+    return SimplicialComplex(_grid_triangles(idx, m1, m2))
 
 
 def cylinder_complex(m1: int, m2: int) -> SimplicialComplex:
     if m1 < 3 or m2 < 1:
         raise ValueError("cylinder lattice needs >= 3 cells around, >= 1 along")
     idx = lambda i, j: (i % m1) * (m2 + 1) + j
-    return SimplicialComplex(_grid_triangles(idx, m1, m2, True, False))
+    return SimplicialComplex(_grid_triangles(idx, m1, m2))
 
 
 def disk_complex(m: int) -> SimplicialComplex:
     if m < 1:
         raise ValueError("disk lattice needs at least one cell per direction")
     idx = lambda i, j: i * (m + 1) + j
-    return SimplicialComplex(_grid_triangles(idx, m, m, False, False))
+    return SimplicialComplex(_grid_triangles(idx, m, m))
 
 
 def interval_complex(m: int) -> SimplicialComplex:
@@ -703,18 +612,7 @@ def ball_relative_complex(n: int, m: int = 2) -> GradedComplex:
         K = SimplicialComplex([(0, 1, 2, 3), (1, 2, 3, 4)])
     else:
         raise ValueError("ball models are provided for n in {1, 2, 3}")
-    boundary = _boundary_closure(K)
-    return K.relative_complex(boundary)
-
-
-def _boundary_closure(K: SimplicialComplex):
-    chain = K.boundary_chain()
-    closed = set()
-    for s in chain:
-        for k in range(len(s)):
-            for sub in itertools.combinations(s, k + 1):
-                closed.add(sub)
-    return closed
+    return K.relative_complex(_closure_of(K.boundary_chain()))
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +627,7 @@ class FiberSpace:
     def __init__(self, components, pairing_degree, blocks):
         self.components = {k: d for k, d in components.items() if d > 0}
         self.pairing_degree = pairing_degree
-        self.blocks = {k: [[Fraction(x) for x in row] for row in M]
-                       for k, M in blocks.items()}
+        self.blocks = {k: as_matrix(M) for k, M in blocks.items()}
 
     @classmethod
     def from_quadratic(cls, g) -> "FiberSpace":
@@ -739,112 +636,57 @@ class FiberSpace:
     def dim(self, k):
         return self.components.get(k, 0)
 
-    def block(self, k):
+    def block(self, k) -> Matrix:
         M = self.blocks.get(k)
-        if M is None:
-            return zeros(self.dim(k), self.dim(self.pairing_degree - k))
-        return M
+        return Matrix.zero(self.dim(k), self.dim(self.pairing_degree - k)) if M is None else M
 
 
 def two_term_fiber(n: int) -> FiberSpace:
     """A 2-dimensional symplectic fiber in degrees 0 and n."""
-    return FiberSpace({0: 1, n: 1}, n, {0: [[Fraction(1)]], n: [[Fraction(1)]]})
+    return FiberSpace({0: 1, n: 1}, n, {0: [[1]], n: [[1]]})
 
 
-def _cup_matrix(K: SimplicialComplex, chain, k: int, l: int):
+def _cup_matrix(K: SimplicialComplex, chain, k: int, l: int) -> Matrix:
     """Integration of (alpha cup beta) over the given top chain;
     alpha of form degree k, beta of degree l, evaluated front/back."""
-    rows, cols = K.dim(k), K.dim(l)
-    M = zeros(rows, cols)
-    for s, sign in chain:
-        if len(s) != k + l + 1:
-            continue
-        front = s[:k + 1]
-        back = s[k:]
-        M[K.index[k][front]][K.index[l][back]] += sign
-    return M
+    return Matrix.from_entries(
+        K.dim(k), K.dim(l),
+        ((K.index[k][s[:k + 1]], K.index[l][s[k:]], sign)
+         for s, sign in chain if len(s) == k + l + 1))
 
 
 def _assemble_lattice(K: SimplicialComplex, chain, fiber: FiberSpace, chain_dim: int):
-    """SymplecticComplex of fiber-valued cochains with the cup-times-fiber pairing."""
-    if K.top_dim < 0:
-        return SymplecticComplex(GradedComplex({}, {}), chain_dim + fiber.pairing_degree, {}), {}
-    blocks = {}
-    comps = {}
-    for k in K.simplices:
-        for a, fd in fiber.components.items():
-            t = k + a
-            blocks.setdefault(t, []).append((k, a))
-            comps[t] = comps.get(t, 0) + K.dim(k) * fd
-    for t in blocks:
-        blocks[t].sort()
-
-    def offset(t, k, a):
-        off = 0
-        for (kk, aa) in blocks[t]:
-            if (kk, aa) == (k, a):
-                return off
-            off += K.dim(kk) * fiber.dim(aa)
-        raise KeyError
-
-    layout = {t: [(k, a, offset(t, k, a)) for (k, a) in blocks[t]] for t in blocks}
-    diffs = {}
-    for t in sorted(blocks):
-        rows = comps.get(t + 1, 0)
-        cols = comps[t]
-        if rows == 0 or cols == 0:
-            continue
-        M = zeros(rows, cols)
-        for (k, a) in blocks[t]:
-            if K.dim(k + 1) == 0 or (k + 1, a) not in blocks.get(t + 1, []):
-                continue
-            dK = K.coboundary(k)
-            fd = fiber.dim(a)
-            c0 = offset(t, k, a)
-            r0 = offset(t + 1, k + 1, a)
-            for r in range(K.dim(k + 1)):
-                for c in range(K.dim(k)):
-                    if dK[r][c] == 0:
-                        continue
-                    for e in range(fd):
-                        M[r0 + r * fd + e][c0 + c * fd + e] += dK[r][c]
-        diffs[t] = M
-    complex_ = GradedComplex(comps, diffs)
+    """SymplecticComplex of fiber-valued cochains with the cup-times-fiber
+    pairing, and the layout of its (form degree, fiber degree) blocks."""
     Dtot = chain_dim + fiber.pairing_degree
+    offsets, comps = _block_offsets({k: K.dim(k) for k in K.simplices}, fiber.components)
+    diffs = {}
+    for t, blocks in offsets.items():
+        if t + 1 not in comps:
+            continue
+        entries = []
+        for (k, a), c0 in blocks.items():
+            if (k + 1, a) in offsets[t + 1]:
+                entries += _kron_entries(K.coboundary(k), _eye(fiber.dim(a)),
+                                         offsets[t + 1][(k + 1, a)], c0)
+        diffs[t] = Matrix.from_entries(comps[t + 1], comps[t], entries)
     pairings = {}
-    for t in blocks:
-        u = t
+    for t, blocks in offsets.items():
         v = Dtot - t
         if v not in comps:
             continue
-        P = zeros(comps[t], comps[v])
-        filled = False
-        for (k, a) in blocks[t]:
+        entries = []
+        for (k, a), r0 in blocks.items():
             l = chain_dim - k
-            b = fiber.pairing_degree - a
-            if (l, b) not in blocks.get(v, []):
+            c0 = offsets[v].get((l, fiber.pairing_degree - a))
+            if c0 is None:
                 continue
-            cup = _cup_matrix(K, chain, k, l)
-            fb = fiber.block(a)
             # Koszul twist from moving the fiber factor past the second form
             # factor; makes the Stokes identity hold in the total grading
-            tw = Fraction(-1) if (a % 2) * (l % 2) else Fraction(1)
-            r0 = offset(t, k, a)
-            c0 = offset(v, l, b)
-            fd_a, fd_b = fiber.dim(a), fiber.dim(b)
-            for r in range(K.dim(k)):
-                for c in range(K.dim(l)):
-                    if cup[r][c] == 0:
-                        continue
-                    for e1 in range(fd_a):
-                        for e2 in range(fd_b):
-                            if fb[e1][e2] == 0:
-                                continue
-                            P[r0 + r * fd_a + e1][c0 + c * fd_b + e2] += tw * cup[r][c] * fb[e1][e2]
-                            filled = True
-        if filled or (comps[t] and comps.get(v)):
-            pairings[t] = P
-    return SymplecticComplex(complex_, Dtot, pairings), layout
+            tw = -1 if (a % 2) * (l % 2) else 1
+            entries += _kron_entries(_cup_matrix(K, chain, k, l), fiber.block(a), r0, c0, tw)
+        pairings[t] = Matrix.from_entries(comps[t], comps[v], entries)
+    return SymplecticComplex(GradedComplex(comps, diffs), Dtot, pairings), offsets
 
 
 def lattice_model(surface, fiber) -> RelativeComplex:
@@ -870,48 +712,23 @@ def lattice_model(surface, fiber) -> RelativeComplex:
         raise ValueError(f"unknown surface {kind!r}")
     chain = K.fundamental
     chain_dim = K.top_dim
-    total, _ = _assemble_lattice(K, chain, fiber, chain_dim)
+    total, offsets = _assemble_lattice(K, chain, fiber, chain_dim)
     bchain_map = K.boundary_chain()
     if not bchain_map:
         return closed_relative(total)
-    bsimplices = _closure_of(bchain_map)
-    Kb = _sub_simplicial(K, bsimplices, bchain_map)
-    bchain = [(s, c) for s, c in bchain_map.items()]
-    bound, _ = _assemble_lattice(Kb, bchain, fiber, chain_dim - 1)
+    Kb = _sub_simplicial(K, _closure_of(bchain_map), bchain_map)
+    bound, b_offsets = _assemble_lattice(Kb, list(bchain_map.items()), fiber, chain_dim - 1)
     restriction = {}
-    for t in set(total.complex.degrees()):
-        rows = bound.dim(t)
-        cols = total.dim(t)
-        if rows == 0 or cols == 0:
+    for t in total.complex.degrees():
+        if not bound.dim(t):
             continue
-        M = zeros(rows, cols)
-        for k in K.simplices:
-            a = t - k
-            if fiber.dim(a) == 0 or k not in Kb.simplices:
-                continue
-            fd = fiber.dim(a)
-            r0 = _block_offset(Kb, fiber, t, k, a)
-            c0 = _block_offset(K, fiber, t, k, a)
-            if r0 is None or c0 is None:
-                continue
-            for s in Kb.simplices[k]:
-                rt = Kb.index[k][s]
-                ct = K.index[k][s]
-                for e in range(fd):
-                    M[r0 + rt * fd + e][c0 + ct * fd + e] = Fraction(1)
-        restriction[t] = M
+        entries = []
+        for (k, a), c0 in offsets[t].items():
+            if (k, a) in b_offsets[t]:
+                inclusion = Matrix([{K.index[k][s]: 1} for s in Kb.simplices[k]], K.dim(k))
+                entries += _kron_entries(inclusion, _eye(fiber.dim(a)), b_offsets[t][(k, a)], c0)
+        restriction[t] = Matrix.from_entries(bound.dim(t), total.dim(t), entries)
     return RelativeComplex(total, bound, restriction)
-
-
-def _block_offset(K, fiber, t, k, a):
-    off = 0
-    pairs = sorted((kk, aa) for kk in K.simplices for aa in fiber.components
-                   if kk + aa == t and K.dim(kk) and fiber.dim(aa))
-    for (kk, aa) in pairs:
-        if (kk, aa) == (k, a):
-            return off
-        off += K.dim(kk) * fiber.dim(aa)
-    return None
 
 
 def _closure_of(chain_map):
@@ -957,35 +774,26 @@ def double_complex(C: GradedComplex, n: int) -> SymplecticComplex:
     all_degs = sorted(comps)
     # sigma_j relates the two pairing blocks; the compatibility identity forces
     # sigma_{j+1} = (-1)^(n+1) sigma_j, solved by this closed form
-    sigma = {j: Fraction(-1) ** ((n + 1) * j) for j in all_degs}
+    sigma = {j: (-1) ** ((n + 1) * j) for j in all_degs}
     for k in all_degs:
         rows = c_dim(k + 1) + d_dim(k + 1)
         cols = c_dim(k) + d_dim(k)
         if rows == 0 or cols == 0:
             continue
-        M = zeros(rows, cols)
-        dC = C.d(k)
-        for r in range(c_dim(k + 1)):
-            for c in range(c_dim(k)):
-                M[r][c] = dC[r][c]
+        entries = [(r, c, x) for r, row in enumerate(C.d(k).rows) for c, x in row.items()]
         # dual differential: (delta phi)(x) = (-1)^{n-k} phi(dx)
-        dD = C.d(n - k - 1)
-        s = Fraction(-1) ** (n - k)
-        for r in range(d_dim(k + 1)):
-            for c in range(d_dim(k)):
-                M[c_dim(k + 1) + r][c_dim(k) + c] = s * dD[c][r]
-        diffs[k] = M
+        s = (-1) ** (n - k)
+        entries += ((c_dim(k + 1) + r, c_dim(k) + c, s * x)
+                    for c, row in enumerate(C.d(n - k - 1).rows) for r, x in row.items())
+        diffs[k] = Matrix.from_entries(rows, cols, entries)
     pairings = {}
     for k in all_degs:
         l = n - k
         if l not in comps:
             continue
-        P = zeros(comps[k], comps[l])
-        for i in range(c_dim(k)):           # <u, phi> = phi(u)
-            P[i][c_dim(l) + i] = Fraction(1)
-        for i in range(d_dim(k)):           # <phi, u> = sigma_k phi(u)
-            P[c_dim(k) + i][i] = sigma[k]
-        pairings[k] = P
+        entries = [(i, c_dim(l) + i, 1) for i in range(c_dim(k))]      # <u, phi> = phi(u)
+        entries += ((c_dim(k) + i, i, sigma[k]) for i in range(d_dim(k)))  # <phi, u> = sigma_k phi(u)
+        pairings[k] = Matrix.from_entries(comps[k], comps[l], entries)
     return SymplecticComplex(GradedComplex(comps, diffs), n, pairings)
 
 
@@ -998,7 +806,7 @@ def double_complex(C: GradedComplex, n: int) -> SymplecticComplex:
 class NMapSpace:
     source_dim: int
     components: list           # (coordinate name, weight, dimension)
-    pairing: list               # antisymmetric rational matrix
+    pairing: Matrix             # antisymmetric rational matrix
     total_dim: int
     nondegenerate: bool
 
@@ -1019,7 +827,7 @@ def nmap_space(dchart, n: int | None = None) -> NMapSpace:
             offsets[name] = total
             comps.append((name, w, dim))
             total += dim
-    P = zeros(total, total)
+    entries = []
     for pr in dchart.pairs:
         kq = pr.q_weight
         kp = pr.p_weight
@@ -1033,8 +841,9 @@ def nmap_space(dchart, n: int | None = None) -> NMapSpace:
                     continue
                 sign = _merge_parity_sign(S, T)
                 val = pr.sign * sign
-                P[offsets[pr.q_name] + iq][offsets[pr.p_name] + ip_] = val
-                P[offsets[pr.p_name] + ip_][offsets[pr.q_name] + iq] = -val
+                entries.append((offsets[pr.q_name] + iq, offsets[pr.p_name] + ip_, val))
+                entries.append((offsets[pr.p_name] + ip_, offsets[pr.q_name] + iq, -val))
+    P = Matrix.from_entries(total, total, entries)
     nondeg = total == 0 or rank(P) == total
     return NMapSpace(n, comps, P, total, nondeg)
 
@@ -1049,7 +858,7 @@ def _binom(n, k):
 
 def _merge_parity_sign(S, T):
     inv = sum(1 for s in S for t in T if s > t)
-    return Fraction(-1) ** inv
+    return (-1) ** inv
 
 
 # ---------------------------------------------------------------------------
@@ -1072,15 +881,18 @@ def save_complex(obj, path):
             fh.write(f"component {k} {C.dim(k)}\n")
         for k in sorted(C.differentials):
             fh.write(f"differential {k}\n")
-            for row in C.differentials[k]:
-                fh.write(" ".join(str(x) for x in row) + "\n")
+            _write_dense(fh, C.differentials[k])
         if S is not None:
             fh.write(f"pairingdegree {S.pairing_degree}\n")
             for k in sorted(S.pairings):
                 fh.write(f"pairing {k}\n")
-                for row in S.pairings[k]:
-                    fh.write(" ".join(str(x) for x in row) + "\n")
+                _write_dense(fh, S.pairings[k])
         fh.write("end\n")
+
+
+def _write_dense(fh, M: Matrix):
+    for row in M.rows:
+        fh.write(" ".join(str(row.get(j, 0)) for j in range(M.ncols)) + "\n")
 
 
 def load_complex(path):
@@ -1100,7 +912,7 @@ def load_complex(path):
     def read_matrix(i, rows):
         M = []
         for _ in range(rows):
-            M.append([Fraction(x) for x in lines[i].split()])
+            M.append(lines[i].split())
             i += 1
         return M, i
 

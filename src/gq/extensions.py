@@ -314,6 +314,9 @@ def affine_cocycle_check(g: QuadraticLieAlgebra, mode_cutoff: int,
     Basis elements are e_i z^m with |m| <= mode_cutoff. The default cocycle is
     c(u z^m, v z^n) = m delta_{m+n,0} <u, v>; the identity checked is
     c([x,y],z) + c([y,z],x) + c([z,x],y) = 0 over all basis triples.
+    `cocycle(u, m, v, n)` must vanish unless m + n = 0; then every term of the
+    identity on modes (m, n, l) vanishes unless m + n + l = 0, so only the
+    triples with l = -(m + n) are visited.
     """
     if mode_cutoff < 1:
         raise ValueError("mode cutoff must be at least 1")
@@ -334,12 +337,14 @@ def affine_cocycle_check(g: QuadraticLieAlgebra, mode_cutoff: int,
                 bki = g.bracket(basis[k], basis[i])
                 for m in modes:
                     for n in modes:
-                        for l in modes:
-                            total = (cocycle(bij, m + n, basis[k], l)
-                                     + cocycle(bjk, n + l, basis[i], m)
-                                     + cocycle(bki, l + m, basis[j], n))
-                            if total != 0:
-                                return False
+                        l = -(m + n)
+                        if abs(l) > mode_cutoff:
+                            continue
+                        total = (cocycle(bij, m + n, basis[k], l)
+                                 + cocycle(bjk, n + l, basis[i], m)
+                                 + cocycle(bki, l + m, basis[j], n))
+                        if total != 0:
+                            return False
     return True
 
 

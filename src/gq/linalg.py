@@ -1,9 +1,12 @@
-"""Exact linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-The public interface passes dense lists of Fraction rows, but elimination
-runs on sparse row dictionaries: the matrices coming from simplicial
-complexes and coordinate charts are overwhelmingly sparse, and exact ranks
-on a few hundred dimensions are only tractable that way.
+A `Matrix` is its shape plus one dict `{column: nonzero entry}` per row, and
+a vector is a dict `{index: nonzero entry}`; zeros are never stored. Entries
+stay Python ints as built and become `Fraction`s only where `RowReducer`
+divides by a pivot other than +-1. The matrices coming from simplicial complexes and
+coordinate charts are overwhelmingly sparse, and exact ranks on a few
+hundred dimensions are only tractable that way. Nested lists of rows are
+converted once, by `as_matrix`, where they enter the package.
 """
 
 from __future__ import annotations
@@ -11,70 +14,121 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def zeros(rows: int, cols: int):
-    return [[Fraction(0)] * cols for _ in range(rows)]
+class Matrix:
+    """rows: one dict {column: nonzero entry} per row; ncols: column count."""
+
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows, ncols: int):
+        self.rows = rows
+        self.ncols = ncols
+
+    @classmethod
+    def zero(cls, nrows: int, ncols: int) -> "Matrix":
+        return cls([{} for _ in range(nrows)], ncols)
+
+    @classmethod
+    def from_entries(cls, nrows: int, ncols: int, entries) -> "Matrix":
+        """Sum of (row, column, value) entries; repeated positions add up."""
+        rows = [{} for _ in range(nrows)]
+        for i, j, x in entries:
+            row = rows[i]
+            s = row.get(j, 0) + x
+            if s:
+                row[j] = s
+            else:
+                row.pop(j, None)
+        return cls(rows, ncols)
+
+    @property
+    def shape(self):
+        return len(self.rows), self.ncols
+
+    @property
+    def T(self) -> "Matrix":
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix(cols, len(self.rows))
+
+    def __neg__(self) -> "Matrix":
+        return Matrix([{j: -x for j, x in row.items()} for row in self.rows], self.ncols)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} plus {other.shape}")
+        return Matrix([_axpy(a, 1, b) for a, b in zip(self.rows, other.rows)], self.ncols)
+
+    def __eq__(self, other) -> bool:
+        """Entrywise; a nested list of rows compares as the matrix it converts to."""
+        if isinstance(other, list):
+            other = as_matrix(other)
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.shape == other.shape and self.rows == other.rows
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows!r}, {self.ncols})"
 
 
-def identity(d: int):
-    m = zeros(d, d)
-    for i in range(d):
-        m[i][i] = Fraction(1)
-    return m
+def _exact(x):
+    """x as an exact rational: an int when integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def shape(A):
-    return len(A), len(A[0]) if A else 0
+def as_matrix(A) -> Matrix:
+    """A `Matrix` as is, or a nested list of rows converted to one."""
+    if isinstance(A, Matrix):
+        return A
+    rows = [{j: x for j, x in enumerate(map(_exact, row)) if x} for row in A]
+    return Matrix(rows, len(A[0]) if A else 0)
 
 
-def transpose(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
+def _axpy(y: dict, f, x: dict) -> dict:
+    """The vector y + f x, as a new dict."""
+    out = dict(y)
+    for j, v in x.items():
+        s = out.get(j, 0) + f * v
+        if s:
+            out[j] = s
+        else:
+            del out[j]
+    return out
 
 
-def mat_mul(A, B):
-    ra, ca = shape(A)
-    rb, cb = shape(B)
+def dot(u: dict, v: dict):
+    """Sum of u[j] * v[j] over the indices the two vectors share."""
+    if len(v) < len(u):
+        u, v = v, u
+    return sum(x * v[j] for j, x in u.items() if j in v)
+
+
+def mat_mul(A: Matrix, B: Matrix) -> Matrix:
+    ra, ca = A.shape
+    rb, cb = B.shape
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    out = zeros(ra, cb)
-    for i, row in enumerate(A):
-        acc = out[i]
-        for k, a in enumerate(row):
-            if a == 0:
-                continue
-            brow = B[k]
-            for j, b in enumerate(brow):
-                if b != 0:
-                    acc[j] += a * b
-    return out
-
-
-def mat_vec(A, v):
     out = []
-    for row in A:
-        s = Fraction(0)
-        for a, b in zip(row, v):
-            if a != 0 and b != 0:
-                s += a * b
-        out.append(s)
+    for row in A.rows:
+        acc = {}
+        for k, a in row.items():
+            for j, b in B.rows[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        out.append({j: x for j, x in acc.items() if x})
+    return Matrix(out, cb)
+
+
+def mat_vec(A: Matrix, v: dict) -> dict:
+    out = {}
+    for i, row in enumerate(A.rows):
+        s = dot(row, v)
+        if s:
+            out[i] = s
     return out
-
-
-def mat_add(A, B, scale=Fraction(1)):
-    return [[a + scale * b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A, c):
-    return [[c * a for a in row] for row in A]
-
-
-def is_zero_matrix(A) -> bool:
-    return all(x == 0 for row in A for x in row)
-
-
-def _sparse_rows(A):
-    return [{j: x for j, x in enumerate(row) if x != 0} for row in A]
 
 
 class RowReducer:
@@ -84,21 +138,14 @@ class RowReducer:
         self.rows = {}  # pivot column -> reduced row dict (pivot entry == 1)
 
     def reduce(self, vec: dict) -> dict:
-        vec = dict(vec)
-        for col in sorted(vec):
-            if vec.get(col, 0) == 0:
-                continue
+        # each stored row is zero at every other pivot column, so the
+        # coefficients to eliminate are read off `vec` as given
+        out = vec
+        for col, f in vec.items():
             pivot_row = self.rows.get(col)
-            if pivot_row is None:
-                continue
-            f = vec[col]
-            for j, x in pivot_row.items():
-                s = vec.get(j, Fraction(0)) - f * x
-                if s == 0:
-                    vec.pop(j, None)
-                else:
-                    vec[j] = s
-        return {j: x for j, x in vec.items() if x != 0}
+            if pivot_row is not None:
+                out = _axpy(out, -f, pivot_row)
+        return dict(out) if out is vec else out
 
     def add(self, vec: dict) -> bool:
         """Insert a vector; True if it enlarged the span."""
@@ -106,19 +153,18 @@ class RowReducer:
         if not red:
             return False
         pivot = min(red)
-        inv = Fraction(1) / red[pivot]
-        new_row = {j: x * inv for j, x in red.items()}
+        p = red[pivot]
+        if p == -1:
+            red = {j: -x for j, x in red.items()}
+        elif p != 1:
+            inv = 1 / Fraction(p)
+            red = {j: x * inv for j, x in red.items()}
         # back-substitute into existing rows to stay fully reduced
         for pc, row in self.rows.items():
             f = row.get(pivot)
             if f:
-                for j, x in new_row.items():
-                    s = row.get(j, Fraction(0)) - f * x
-                    if s == 0:
-                        row.pop(j, None)
-                    else:
-                        row[j] = s
-        self.rows[pivot] = new_row
+                self.rows[pc] = _axpy(row, -f, red)
+        self.rows[pivot] = red
         return True
 
     def contains(self, vec: dict) -> bool:
@@ -129,129 +175,59 @@ class RowReducer:
         return len(self.rows)
 
 
+def _reducer(vectors) -> RowReducer:
+    rr = RowReducer()
+    for v in vectors:
+        rr.add(v)
+    return rr
+
+
 def rank(A) -> int:
-    if not A or not A[0]:
-        return 0
+    """Rank of a `Matrix` or of a nested list of rows."""
+    return _reducer(as_matrix(A).rows).rank
+
+
+def nullspace(A: Matrix):
+    """Basis of the kernel, as vectors: one per non-pivot column, ascending."""
+    rr = _reducer(A.rows)
+    basis = {c: {c: 1} for c in range(A.ncols) if c not in rr.rows}
+    for p, row in rr.rows.items():
+        for j, x in row.items():
+            if j != p:
+                basis[j][p] = -x
+    return list(basis.values())
+
+
+def column_space_basis(A: Matrix):
+    """Independent subset of the columns, as vectors."""
     rr = RowReducer()
-    for row in _sparse_rows(A):
-        rr.add(row)
-    return rr.rank
-
-
-def rref(A):
-    """Reduced row echelon form (dense output) with pivot columns."""
-    rows, cols = shape(A)
-    rr = RowReducer()
-    for row in _sparse_rows(A):
-        rr.add(row)
-    pivots = sorted(rr.rows)
-    R = zeros(rows, cols)
-    for i, p in enumerate(pivots):
-        for j, x in rr.rows[p].items():
-            R[i][j] = x
-    return R, pivots
-
-
-def nullspace(A):
-    """Basis of the kernel, as a list of column vectors."""
-    rows, cols = shape(A)
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(cols)]
-                for j in range(cols)]
-    rr = RowReducer()
-    for row in _sparse_rows(A):
-        rr.add(row)
-    pivots = sorted(rr.rows)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for p in pivots:
-            x = rr.rows[p].get(fc)
-            if x:
-                v[p] = -x
-        basis.append(v)
-    return basis
-
-
-def column_space_basis(A):
-    """Independent subset of columns (as column vectors)."""
-    rows, cols = shape(A)
-    if rows == 0 or cols == 0:
-        return []
-    rr = RowReducer()
-    out = []
-    for c in range(cols):
-        col = {i: A[i][c] for i in range(rows) if A[i][c] != 0}
-        if rr.add(col):
-            out.append([A[i][c] for i in range(rows)])
-    return out
-
-
-def stack_columns(vectors, length=None):
-    """Matrix whose columns are the given vectors."""
-    if not vectors:
-        return [[] for _ in range(length)] if length else []
-    return transpose(vectors)
-
-
-def in_span(vectors, v) -> bool:
-    rr = RowReducer()
-    for w in vectors:
-        rr.add({j: x for j, x in enumerate(w) if x != 0})
-    return rr.contains({j: x for j, x in enumerate(v) if x != 0})
+    return [col for col in A.T.rows if rr.add(col)]
 
 
 def span_dim(vectors) -> int:
-    rr = RowReducer()
-    for w in vectors:
-        rr.add({j: x for j, x in enumerate(w) if x != 0})
-    return rr.rank
-
-
-def same_span(vs, ws) -> bool:
-    return span_contains(vs, ws) and span_contains(ws, vs)
+    return _reducer(vectors).rank
 
 
 def span_contains(vs, ws) -> bool:
     """Span of vs contains every w in ws."""
-    if not ws:
-        return True
-    rr = RowReducer()
-    for w in vs:
-        rr.add({j: x for j, x in enumerate(w) if x != 0})
-    return all(rr.contains({j: x for j, x in enumerate(w) if x != 0}) for w in ws)
+    rr = _reducer(vs)
+    return all(rr.contains(w) for w in ws)
 
 
 def extend_to_basis(inner, outer):
     """Vectors from `outer` extending span(inner) to span(inner + outer)."""
-    rr = RowReducer()
-    for w in inner:
-        rr.add({j: x for j, x in enumerate(w) if x != 0})
-    chosen = []
-    for w in outer:
-        if rr.add({j: x for j, x in enumerate(w) if x != 0}):
-            chosen.append(w)
-    return chosen
+    rr = _reducer(inner)
+    return [w for w in outer if rr.add(w)]
 
 
-def solve(A, b):
-    """One solution of A x = b, or None."""
-    rows, cols = shape(A)
+def solve(A: Matrix, b: dict):
+    """One solution x of A x = b, as a vector, or None."""
+    cols = A.ncols
     rr = RowReducer()
-    for i in range(rows):
-        row = {j: A[i][j] for j in range(cols) if A[i][j] != 0}
-        if b[i] != 0:
-            row[cols] = b[i]
+    for i, row in enumerate(A.rows):
+        if i in b:
+            row = {**row, cols: b[i]}
         rr.add(row)
     if cols in rr.rows:
         return None
-    x = [Fraction(0)] * cols
-    for p, row in rr.rows.items():
-        x[p] = row.get(cols, Fraction(0))
-    return x
+    return {p: row[cols] for p, row in rr.rows.items() if cols in row}

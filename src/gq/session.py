@@ -361,7 +361,9 @@ def _validate_check(session: Session, st: dsl.CheckStmt):
 
 def execute(program: dsl.Program, options: Options | None = None,
             session: Session | None = None) -> Report:
-    """Run bindings, then every check in order; never raises past a check."""
+    """Run bindings, then every check in order. A semantic error in a check
+    (such as a binding of the wrong kind) is raised; any other exception in a
+    check becomes that check's `fail` record."""
     options = options or Options()
     if session is None:
         session = analyze(program, options)
@@ -373,6 +375,8 @@ def execute(program: dsl.Program, options: Options | None = None,
         t0 = time.perf_counter()
         try:
             verdict, residual, witness = handler(session, st)
+        except SemanticError:
+            raise
         except GqError as exc:
             verdict, residual, witness = "fail", None, f"error: {exc}"
         except Exception as exc:

@@ -173,6 +173,11 @@ def test_unexpected_exception_in_check_becomes_fail_record():
     assert rep.records[0].residual is None
 
 
+def test_binding_kind_mismatch_in_check_is_semantic_error():
+    with pytest.raises(SemanticError, match="expected path"):
+        execute(dsl.parse("algebra G so3; check exp G;"))
+
+
 def test_action_fails_when_base_misses_transport(tmp_path):
     X = np.array([[0.0, -0.5, -1.1], [0.5, 0.0, -0.8], [1.1, 0.8, 0.0]])
     ts = np.linspace(0.0, 1.0, 101)
@@ -222,6 +227,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     syn.write_text("chart X {")
     assert cli_main(["run", str(syn)]) == 2
     capsys.readouterr()
+
+
+def test_cli_binding_kind_mismatch_exits_2(tmp_path, capsys):
+    f = tmp_path / "kind.gq"
+    f.write_text("algebra G so3; check exp G;")
+    assert cli_main(["run", str(f)]) == 2
+    assert "expected path" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--steps=0", "--steps=-5", "--tolerance=nan",

@@ -191,6 +191,41 @@ def test_broken_cocycle_fails():
     assert not affine_cocycle_check(g, 2, broken_cocycle(g))
 
 
+def _full_triple_cocycle_check(g, mode_cutoff, cocycle=None):
+    """Reference: the cocycle identity on every mode triple (m, n, l)."""
+    if cocycle is None:
+        def cocycle(u, m, v, n):
+            return Fraction(m) * g.inner(u, v) if m + n == 0 else Fraction(0)
+
+    basis = [[Fraction(int(a == b)) for b in range(g.dim)] for a in range(g.dim)]
+    modes = range(-mode_cutoff, mode_cutoff + 1)
+    for i in range(g.dim):
+        for j in range(g.dim):
+            bij = g.bracket(basis[i], basis[j])
+            for k in range(g.dim):
+                bjk = g.bracket(basis[j], basis[k])
+                bki = g.bracket(basis[k], basis[i])
+                for m in modes:
+                    for n in modes:
+                        for l in modes:
+                            if (cocycle(bij, m + n, basis[k], l)
+                                    + cocycle(bjk, n + l, basis[i], m)
+                                    + cocycle(bki, l + m, basis[j], n)) != 0:
+                                return False
+    return True
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+@pytest.mark.parametrize("algebra", [so3, sl2])
+def test_cocycle_check_matches_full_triple_loop(algebra, cutoff):
+    g = algebra()
+    for cocycle in (None, broken_cocycle(g)):
+        assert (affine_cocycle_check(g, cutoff, cocycle)
+                == _full_triple_cocycle_check(g, cutoff, cocycle))
+    assert affine_cocycle_check(g, cutoff)
+    assert not affine_cocycle_check(g, cutoff, broken_cocycle(g))
+
+
 # -- symmetry pairs ---------------------------------------------------------------
 
 
