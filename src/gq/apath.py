@@ -289,6 +289,8 @@ def load_apath(path) -> APath:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "dim":
+                if len(parts) != 2 or int(parts[1]) < 1:
+                    raise ValueError(f"'dim' header needs one positive integer: {line.strip()!r}")
                 dim = int(parts[1])
                 continue
             if dim is None:

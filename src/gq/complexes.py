@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import StructureError
+from .graded_algebra import _merge_sign, _sum_pairs
 from .linalg import (
     Matrix, as_matrix, column_space_basis, dot, extend_to_basis, mat_mul, mat_vec,
     nullspace, rank, solve, span_contains, span_dim,
@@ -505,16 +506,8 @@ class SimplicialComplex:
 
     def boundary_chain(self):
         """Coefficients of the boundary of the fundamental chain, by simplex."""
-        out = {}
-        for s, sign in self.fundamental:
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                c = out.get(face, 0) + sign * (-1) ** i
-                if c == 0:
-                    out.pop(face, None)
-                else:
-                    out[face] = c
-        return out
+        return _sum_pairs((s[:i] + s[i + 1:], sign * (-1) ** i)
+                          for s, sign in self.fundamental for i in range(len(s)))
 
     def graded_complex(self) -> GradedComplex:
         comps = {k: self.dim(k) for k in self.simplices}
@@ -837,9 +830,9 @@ def nmap_space(dchart, n: int | None = None) -> NMapSpace:
         subsets_p = list(itertools.combinations(range(1, n + 1), kp))
         for iq, S in enumerate(subsets_q):
             for ip_, T in enumerate(subsets_p):
-                if set(S) & set(T):
+                sign = _merge_sign(S, T)
+                if sign is None:
                     continue
-                sign = _merge_parity_sign(S, T)
                 val = pr.sign * sign
                 entries.append((offsets[pr.q_name] + iq, offsets[pr.p_name] + ip_, val))
                 entries.append((offsets[pr.p_name] + ip_, offsets[pr.q_name] + iq, -val))
@@ -854,11 +847,6 @@ def _binom(n, k):
     from math import comb
 
     return comb(n, k)
-
-
-def _merge_parity_sign(S, T):
-    inv = sum(1 for s in S for t in T if s > t)
-    return (-1) ** inv
 
 
 # ---------------------------------------------------------------------------
@@ -895,6 +883,9 @@ def _write_dense(fh, M: Matrix):
         fh.write(" ".join(str(row.get(j, 0)) for j in range(M.ncols)) + "\n")
 
 
+_HEADER_FIELDS = {"component": 2, "differential": 1, "pairingdegree": 1, "pairing": 1}
+
+
 def load_complex(path):
     """Returns a SymplecticComplex if the file carries pairings, else a
     GradedComplex."""
@@ -910,19 +901,24 @@ def load_complex(path):
     i = 1
 
     def read_matrix(i, rows):
-        M = []
-        for _ in range(rows):
-            M.append(lines[i].split())
-            i += 1
-        return M, i
+        if i + rows > len(lines):
+            raise ValueError(f"{lines[i - 1]!r} block needs {rows} rows, "
+                             f"the file has {len(lines) - i} left")
+        return [ln.split() for ln in lines[i:i + rows]], i + rows
 
     while i < len(lines):
         parts = lines[i].split()
         if not parts:
             i += 1
             continue
+        if parts[0] in _HEADER_FIELDS and len(parts) != _HEADER_FIELDS[parts[0]] + 1:
+            raise ValueError(f"{parts[0]!r} line needs {_HEADER_FIELDS[parts[0]]} "
+                             f"integer(s): {lines[i]!r}")
         if parts[0] == "component":
-            comps[int(parts[1])] = int(parts[2])
+            k, dim = int(parts[1]), int(parts[2])
+            if dim < 0:
+                raise ValueError(f"negative dimension in {lines[i]!r}")
+            comps[k] = dim
             i += 1
         elif parts[0] == "differential":
             k = int(parts[1])

@@ -397,7 +397,10 @@ class _Parser:
         num = self.expect_int()
         if self.peek().kind == "punct" and self.peek().text == "/":
             self.next()
+            t = self.peek()
             den = self.expect_int()
+            if den == 0:
+                self.error("zero denominator", t)
             return Fraction(num, den)
         return Fraction(num)
 
@@ -439,6 +442,8 @@ class _Parser:
             if self.peek().kind == "punct" and self.peek().text == "/":
                 self.next()
                 den = self.expect("int")
+                if int(den.text) == 0:
+                    self.error("zero denominator", den)
                 return Num(Fraction(int(t.text), int(den.text)))
             return Num(Fraction(int(t.text)))
         if t.kind == "ident":

@@ -5,6 +5,7 @@ correction, the truncated loop-algebra cocycle, and symmetry pairs (v, alpha).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .errors import ChartMismatchError, GradingError, StructureError
 from .forms import TangentChart
-from .graded_algebra import GPoly, _rat, substitute
+from .graded_algebra import GPoly, _rat, _sum_pairs, substitute
 from .linalg import rank
 from .nq_core import Derivation, commutator
 
@@ -228,19 +229,11 @@ class GradedLieAlgebra:
         return self.degrees[i] % 2
 
     def bracket_vec(self, u, v):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for k, ck in self.brackets.get((i, j), {}).items():
-                    out[k] = out.get(k, Fraction(0)) + ci * cj * ck
-        return {k: c for k, c in out.items() if c != 0}
+        return _sum_pairs((k, ci * cj * ck) for i, ci in u.items() for j, cj in v.items()
+                          for k, ck in self.brackets.get((i, j), {}).items())
 
     def q_vec(self, u):
-        out = {}
-        for i, ci in u.items():
-            for k, ck in self.q.get(i, {}).items():
-                out[k] = out.get(k, Fraction(0)) + ci * ck
-        return {k: c for k, c in out.items() if c != 0}
+        return _sum_pairs((k, ci * ck) for i, ci in u.items() for k, ck in self.q.get(i, {}).items())
 
     def jacobi_violation(self):
         """First basis triple violating [a,[b,c]] = [[a,b],c] + (-1)^|a||b| [b,[a,c]]."""
@@ -253,10 +246,10 @@ class GradedLieAlgebra:
                 for c in range(n):
                     ec = {c: Fraction(1)}
                     lhs = self.bracket_vec(ea, self.bracket_vec(eb, ec))
-                    rhs = self.bracket_vec(self.bracket_vec(ea, eb), ec)
-                    for k, v in self.bracket_vec(eb, self.bracket_vec(ea, ec)).items():
-                        rhs[k] = rhs.get(k, Fraction(0)) + sign * v
-                    rhs = {k: v for k, v in rhs.items() if v != 0}
+                    rhs = _sum_pairs(itertools.chain(
+                        self.bracket_vec(self.bracket_vec(ea, eb), ec).items(),
+                        ((k, sign * v) for k, v in
+                         self.bracket_vec(eb, self.bracket_vec(ea, ec)).items())))
                     if lhs != rhs:
                         return (a, b, c)
         return None
@@ -270,10 +263,9 @@ class GradedLieAlgebra:
             for b in range(n):
                 eb = {b: Fraction(1)}
                 lhs = self.q_vec(self.bracket_vec(ea, eb))
-                rhs = self.bracket_vec(self.q_vec(ea), eb)
-                for k, v in self.bracket_vec(ea, self.q_vec(eb)).items():
-                    rhs[k] = rhs.get(k, Fraction(0)) + sign * v
-                rhs = {k: v for k, v in rhs.items() if v != 0}
+                rhs = _sum_pairs(itertools.chain(
+                    self.bracket_vec(self.q_vec(ea), eb).items(),
+                    ((k, sign * v) for k, v in self.bracket_vec(ea, self.q_vec(eb)).items())))
                 if lhs != rhs:
                     return (a, b)
         return None
@@ -370,7 +362,7 @@ def cartan_3form(g: QuadraticLieAlgebra) -> GPoly:
     chart = A.chart
     d = g.dim
     basis = [[Fraction(1) if a == b else Fraction(0) for b in range(d)] for a in range(d)]
-    eta = chart.zero()
+    terms = []
     sixth = Fraction(1, 6)
     for i in range(d):
         for j in range(d):
@@ -378,9 +370,9 @@ def cartan_3form(g: QuadraticLieAlgebra) -> GPoly:
                 coeff = g.inner(basis[i], g.bracket(basis[j], basis[k]))
                 if coeff == 0:
                     continue
-                eta = eta + sixth * coeff * chart.var(f"xi{i + 1}") \
-                    * chart.var(f"xi{j + 1}") * chart.var(f"xi{k + 1}")
-    return eta
+                terms.append(sixth * coeff * chart.var(f"xi{i + 1}")
+                             * chart.var(f"xi{j + 1}") * chart.var(f"xi{k + 1}"))
+    return chart.sum(terms)
 
 
 def chevalley_eilenberg_q(g: QuadraticLieAlgebra) -> Derivation:
@@ -524,30 +516,21 @@ def su2_bracket(x, y):
 class GridMap:
     """A map sampled on a rectangular grid over [0,1]^2 plus a per-cell 2-form.
 
-    values: unit quaternions, shape (N1+1, N2+1, 4), or matrices of shape
-    (N1+1, N2+1, d, d). omega: per-cell samples, shape (N1, N2).
+    values: unit quaternions, shape (N1+1, N2+1, 4). omega: per-cell
+    samples, shape (N1, N2).
     """
 
     def __init__(self, values, omega=None, tol=1e-12):
         values = np.asarray(values, dtype=float)
-        if values.ndim == 3 and values.shape[-1] == 4:
-            self.kind = "quaternion"
-        elif values.ndim == 4 and values.shape[-1] == values.shape[-2]:
-            self.kind = "matrix"
-        else:
-            raise ValueError("values must be quaternions (...,4) or square matrices")
+        if values.ndim != 3 or values.shape[-1] != 4:
+            raise ValueError("values must be quaternions of shape (N1+1, N2+1, 4)")
         if values.shape[0] < 2 or values.shape[1] < 2:
             raise ValueError("grid must be at least 2x2 nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
-        if self.kind == "quaternion":
-            err = np.max(np.abs(np.linalg.norm(values, axis=-1) - 1.0))
-            if err > tol:
-                raise StructureError(f"quaternion norms off unit by {err:.3e}")
-        else:
-            err = np.max(np.abs(np.linalg.det(values) - 1.0))
-            if err > tol:
-                raise StructureError(f"matrix determinants off 1 by {err:.3e}")
+        err = np.max(np.abs(np.linalg.norm(values, axis=-1) - 1.0))
+        if err > tol:
+            raise StructureError(f"quaternion norms off unit by {err:.3e}")
         self.values = values
         n1, n2 = values.shape[0] - 1, values.shape[1] - 1
         if omega is None:
@@ -564,9 +547,7 @@ class GridMap:
         return self.values.shape[:2]
 
     def inverse(self) -> "GridMap":
-        if self.kind == "quaternion":
-            return GridMap(quat_conj(self.values), -self.omega)
-        return GridMap(np.linalg.inv(self.values), -self.omega)
+        return GridMap(quat_conj(self.values), -self.omega)
 
     @classmethod
     def identity(cls, n1: int, n2: int) -> "GridMap":
@@ -627,10 +608,8 @@ def wzw_cross_term(a: GridMap, b: GridMap):
 def wzw_product(a: GridMap, b: GridMap) -> GridMap:
     """Pointwise product with the corrected 2-form:
     f = f1 f2, omega = omega1 + omega2 + <f1*theta_l wedge f2*theta_r>."""
-    if a.nodes_shape != b.nodes_shape or a.kind != b.kind:
+    if a.nodes_shape != b.nodes_shape:
         raise ValueError("grids do not match")
-    if a.kind != "quaternion":
-        raise ValueError("the product 2-form correction is implemented for quaternion grids")
     values = quat_mul(a.values, b.values)
     omega = a.omega + b.omega + wzw_cross_term(a, b)
     return GridMap(values, omega)
@@ -694,8 +673,6 @@ def wzw_descent_residual(f1, f2, center, h):
 
 def save_gridmap(g: GridMap, path):
     """Plain-text format: 'node i j q0 q1 q2 q3' and 'cell i j omega' lines."""
-    if g.kind != "quaternion":
-        raise ValueError("the text format stores quaternion grids")
     n1, n2 = g.nodes_shape
     with open(path, "w") as fh:
         fh.write(f"grid {n1 - 1} {n2 - 1}\n")
@@ -708,6 +685,19 @@ def save_gridmap(g: GridMap, path):
                 fh.write(f"cell {i} {j} {float(g.omega[i, j])!r}\n")
 
 
+def _grid_index(parts, width, samples):
+    """The (i, j) of a node or cell line of `width` fields; it must index `samples`."""
+    if samples is None:
+        raise ValueError(f"{parts[0]!r} line before the grid header")
+    if len(parts) != width:
+        raise ValueError(f"{parts[0]!r} line needs {width - 1} fields, got {len(parts) - 1}")
+    i, j = int(parts[1]), int(parts[2])
+    if not (0 <= i < samples.shape[0] and 0 <= j < samples.shape[1]):
+        raise ValueError(f"{parts[0]} index ({i}, {j}) outside the "
+                         f"{samples.shape[0]}x{samples.shape[1]} {parts[0]}s of the grid")
+    return i, j
+
+
 def load_gridmap(path) -> GridMap:
     values = None
     omega = None
@@ -717,14 +707,18 @@ def load_gridmap(path) -> GridMap:
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "grid":
+                if len(parts) != 3:
+                    raise ValueError(f"'grid' header needs 2 fields, got {len(parts) - 1}")
                 n1, n2 = int(parts[1]), int(parts[2])
+                if n1 < 1 or n2 < 1:
+                    raise ValueError(f"grid needs at least 1x1 cells, got {n1}x{n2}")
                 values = np.zeros((n1 + 1, n2 + 1, 4))
                 omega = np.zeros((n1, n2))
             elif parts[0] == "node":
-                i, j = int(parts[1]), int(parts[2])
-                values[i, j] = [float(x) for x in parts[3:7]]
+                i, j = _grid_index(parts, 7, values)
+                values[i, j] = [float(x) for x in parts[3:]]
             elif parts[0] == "cell":
-                i, j = int(parts[1]), int(parts[2])
+                i, j = _grid_index(parts, 4, omega)
                 omega[i, j] = float(parts[3])
             else:
                 raise ValueError(f"unrecognized grid line: {line.strip()!r}")

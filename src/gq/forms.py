@@ -90,11 +90,10 @@ class TangentChart:
         """Commutator of polynomial vector fields, componentwise."""
         out = []
         for a in range(self.m):
-            acc = self.zero()
-            for b in range(self.m):
-                xb = self.x_names[b]
-                acc = acc + v[b] * left_derivative(w[a], xb) - w[b] * left_derivative(v[a], xb)
-            out.append(acc)
+            terms = []
+            for b, xb in enumerate(self.x_names):
+                terms += (v[b] * left_derivative(w[a], xb), -w[b] * left_derivative(v[a], xb))
+            out.append(self.chart.sum(terms))
         return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import ChartMismatchError, GradingError
 
@@ -120,6 +121,15 @@ class Chart:
             return self.zero()
         return GPoly(self, {key: c})
 
+    def sum(self, polys) -> "GPoly":
+        """The sum of polynomials on this chart, collected in one pass."""
+        def pairs():
+            for p in polys:
+                if p.chart != self:
+                    raise ChartMismatchError("operands live on different charts")
+                yield from p.terms.items()
+        return _collect(self, pairs())
+
 
 def _key_weight(chart: Chart, key) -> int:
     return sum(e * w for e, w in zip(key, chart.weights))
@@ -127,6 +137,11 @@ def _key_weight(chart: Chart, key) -> int:
 
 def _key_parity(chart: Chart, key) -> int:
     return sum(e for e, p in zip(key, chart.parities) if p) % 2
+
+
+def _odd_word(chart: Chart, key):
+    """Indices of the odd factors of a monomial, in canonical order."""
+    return tuple(i for i, e in enumerate(key) if e and chart.parities[i])
 
 
 def _merge_sign(odd_a, odd_b):
@@ -141,6 +156,28 @@ def _merge_sign(odd_a, odd_b):
             if i > j:
                 inversions += 1
     return -1 if inversions % 2 else 1
+
+
+def _sum_pairs(pairs) -> dict:
+    """Sum (key, coefficient) pairs into a dict without zero coefficients.
+
+    Every operation that builds terms goes through here: it is the one place
+    where coefficients of equal keys are added and zero results dropped.
+    """
+    out = {}
+    for key, c in pairs:
+        if key in out:
+            c += out[key]
+        out[key] = c
+    return {k: c for k, c in out.items() if c}
+
+
+def _collect(chart: Chart, pairs) -> "GPoly":
+    """The canonical polynomial with the summed (exponent key, coefficient) pairs."""
+    p = object.__new__(GPoly)
+    p.chart = chart
+    p.terms = _sum_pairs(pairs)
+    return p
 
 
 class GPoly:
@@ -214,20 +251,12 @@ class GPoly:
     def __add__(self, other):
         if not isinstance(other, GPoly):
             other = self.chart.const(other)
-        self._check_chart(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, Fraction(0)) + c
-            if s == 0:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
-        return GPoly(self.chart, terms)
+        return self.chart.sum((self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GPoly(self.chart, {k: -c for k, c in self.terms.items()})
+        return _collect(self.chart, ((k, -c) for k, c in self.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, GPoly):
@@ -238,27 +267,22 @@ class GPoly:
         return self.chart.const(other) - self
 
     def __mul__(self, other):
+        chart = self.chart
         if not isinstance(other, GPoly):
             c = _rat(other)
-            return GPoly(self.chart, {k: v * c for k, v in self.terms.items()})
+            return _collect(chart, ((k, v * c) for k, v in self.terms.items()))
         self._check_chart(other)
-        chart = self.chart
-        parities = chart.parities
-        out = {}
-        for ka, ca in self.terms.items():
-            odd_a = tuple(i for i, e in enumerate(ka) if e and parities[i])
-            for kb, cb in other.terms.items():
-                odd_b = tuple(i for i, e in enumerate(kb) if e and parities[i])
-                sign = _merge_sign(odd_a, odd_b)
-                if sign is None:
-                    continue
-                key = tuple(ea + eb for ea, eb in zip(ka, kb))
-                c = out.get(key, Fraction(0)) + sign * ca * cb
-                if c == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = c
-        return GPoly(chart, out)
+        right = [(kb, cb, _odd_word(chart, kb)) for kb, cb in other.terms.items()]
+
+        def products():
+            for ka, ca in self.terms.items():
+                odd_a = _odd_word(chart, ka)
+                for kb, cb, odd_b in right:
+                    sign = _merge_sign(odd_a, odd_b)
+                    if sign is not None:
+                        c = ca * cb
+                        yield tuple(map(add, ka, kb)), (c if sign > 0 else -c)
+        return _collect(chart, products())
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -322,58 +346,29 @@ def left_derivative(p: GPoly, v) -> GPoly:
     """Left graded derivative by a chart variable.
 
     Convention: d_v(ab) = (d_v a) b + (-1)^(parity(v) * parity(a)) a (d_v b).
-    On a canonical monomial this strips v from the left, picking up one sign
-    flip per odd factor standing before it.
+    """
+    return _derivative(p, v, right=False)
+
+
+def _derivative(p: GPoly, v, right: bool) -> GPoly:
+    """Graded derivative by a chart variable, from the left or the right.
+
+    On a canonical monomial this strips v, picking up one sign flip per odd
+    factor standing on the requested side of it: before v for the left
+    derivative, after it for the right one. Term by term the two differ by
+    dR_v m = (-1)^(|v| |dL_v m|) dL_v m. The right derivative is internal;
+    the public convention is the left one.
     """
     chart = p.chart
     i = chart.index(v)
-    parity_v = chart.parities[i]
-    out = {}
-    for key, c in p.terms.items():
-        e = key[i]
-        if e == 0:
-            continue
-        new_key = key[:i] + (e - 1,) + key[i + 1:]
-        if parity_v == 0:
-            coeff = c * e
-        else:
-            # odd factors with smaller canonical index stand to the left of v
-            before = sum(1 for j in range(i) if key[j] and chart.parities[j])
-            coeff = -c if before % 2 else c
-        s = out.get(new_key, Fraction(0)) + coeff
-        if s == 0:
-            out.pop(new_key, None)
-        else:
-            out[new_key] = s
-    return GPoly(chart, out)
-
-
-def _right_derivative(p: GPoly, v) -> GPoly:
-    """Right graded derivative (internal; the public convention is the left one).
-
-    On a canonical monomial this strips v from the right, picking up one sign
-    flip per odd factor standing after it.
-    """
-    chart = p.chart
-    i = chart.index(v)
-    parity_v = chart.parities[i]
-    out = {}
-    for key, c in p.terms.items():
-        e = key[i]
-        if e == 0:
-            continue
-        new_key = key[:i] + (e - 1,) + key[i + 1:]
-        if parity_v == 0:
-            coeff = c * e
-        else:
-            after = sum(1 for j in range(i + 1, len(key)) if key[j] and chart.parities[j])
-            coeff = -c if after % 2 else c
-        s = out.get(new_key, Fraction(0)) + coeff
-        if s == 0:
-            out.pop(new_key, None)
-        else:
-            out[new_key] = s
-    return GPoly(chart, out)
+    if not chart.parities[i]:
+        return _collect(chart, ((key[:i] + (key[i] - 1,) + key[i + 1:], c * key[i])
+                                for key, c in p.terms.items() if key[i]))
+    side = range(i + 1, len(chart)) if right else range(i)
+    odd = [j for j in side if chart.parities[j]]
+    return _collect(chart, ((key[:i] + (0,) + key[i + 1:],
+                             -c if sum(key[j] for j in odd) % 2 else c)
+                            for key, c in p.terms.items() if key[i]))
 
 
 def weight_of(p: GPoly):
@@ -385,10 +380,8 @@ def rescale(p: GPoly, lam) -> GPoly:
     """Substitute lam^weight(v) * v for every variable v."""
     lam = _rat(lam)
     chart = p.chart
-    out = {}
-    for key, c in p.terms.items():
-        out[key] = c * lam ** _key_weight(chart, key)
-    return GPoly(chart, out)
+    return _collect(chart, ((key, c * lam ** _key_weight(chart, key))
+                            for key, c in p.terms.items()))
 
 
 def scaling_check(p: GPoly, lam) -> bool:
@@ -411,7 +404,7 @@ def substitute(p: GPoly, v, q: GPoly) -> GPoly:
     i = chart.index(v)
     if not q.is_homogeneous(chart.weights[i]):
         raise GradingError("substitution value must match the variable's weight")
-    result = chart.zero()
+    terms = []
     for key, c in p.terms.items():
         e = key[i]
         if e and chart.parities[i]:
@@ -420,9 +413,5 @@ def substitute(p: GPoly, v, q: GPoly) -> GPoly:
             after = sum(1 for j in range(i + 1, len(key)) if key[j] and chart.parities[j])
             if after % 2:
                 c = -c
-        rest = chart.monomial(c, key[:i] + (0,) + key[i + 1:])
-        term = rest
-        for _ in range(e):
-            term = term * q
-        result = result + term
-    return result
+        terms.append(chart.monomial(c, key[:i] + (0,) + key[i + 1:]) * q ** e)
+    return chart.sum(terms)

@@ -109,14 +109,8 @@ def apply_derivation(D: Derivation, p: GPoly) -> GPoly:
     """
     if p.chart != D.chart:
         raise ChartMismatchError("polynomial lives on a different chart")
-    result = D.chart.zero()
-    for name, coeff in D.components.items():
-        if coeff.is_zero():
-            continue
-        d = left_derivative(p, name)
-        if not d.is_zero():
-            result = result + coeff * d
-    return result
+    return D.chart.sum(coeff * left_derivative(p, name)
+                       for name, coeff in D.components.items() if not coeff.is_zero())
 
 
 def commutator(D1: Derivation, D2: Derivation) -> Derivation:

@@ -330,6 +330,8 @@ class Session:
 
     def _do_NMapStmt(self, st):
         dchart = self.get(st.target, "sigma", pos=st.pos)
+        if st.dim is not None and st.dim < 0:
+            raise SemanticError(f"N-map source dimension {st.dim} is negative", *st.pos)
         self.bind(st.name, "nmap", cx.nmap_space(dchart, st.dim), st.pos)
 
     def _do_CheckStmt(self, st):
@@ -631,12 +633,9 @@ def _schouten_jacobiator(h, pi):
     for a in range(1, m + 1):
         for b in range(a + 1, m + 1):
             for c in range(b + 1, m + 1):
-                acc = chart.zero()
-                for s in range(1, m + 1):
-                    acc = acc + piv(s, a) * left_derivative(piv(b, c), xs[s - 1])
-                    acc = acc + piv(s, b) * left_derivative(piv(c, a), xs[s - 1])
-                    acc = acc + piv(s, c) * left_derivative(piv(a, b), xs[s - 1])
-                out[(a, b, c)] = acc
+                out[(a, b, c)] = chart.sum(
+                    piv(s, i) * left_derivative(piv(j, k), xs[s - 1])
+                    for s in range(1, m + 1) for i, j, k in ((a, b, c), (b, c, a), (c, a, b)))
     return out
 
 
@@ -661,118 +660,89 @@ def check_poisson(session, st):
     return "pass", None, wit
 
 
-def _courant_layout(dchart, pos):
-    even = [p for p in dchart.pairs if p.q_weight % 2 == 0]
-    odd = [p for p in dchart.pairs if p.q_weight % 2 == 1]
-    if dchart.n != 2 or len(even) != len(odd):
+def _courant_base(dchart, pos):
+    """Names of the base coordinates (the q's of the even pairs) of a
+    standard degree-2 chart."""
+    even = [p.q_name for p in dchart.pairs if p.q_weight % 2 == 0]
+    if dchart.n != 2 or 2 * len(even) != len(dchart.pairs):
         raise SemanticError("dorfman check needs a standard degree-2 chart", *pos)
-    return even, odd
+    return even
 
 
-def _to_tangent(dchart, even, tc, poly):
-    """Carry a base polynomial (in the q's of the even pairs) to the tangent chart."""
-    out = tc.chart.zero()
-    xidx = [dchart.chart.index(p.q_name) for p in even]
+def _rand_base(rng, chart, xnames, top):
+    """A random monomial in the named base coordinates: each exponent in
+    [0, top], coefficient in [-2, 2]."""
+    key = [0] * len(chart.gvars)
+    for nm in xnames:
+        key[chart.index(nm)] = rng.randint(0, top)
+    return chart.monomial(Fraction(rng.randint(-2, 2)), tuple(key))
+
+
+def _transport(poly, chart, index):
+    """Carry a base polynomial to `chart`, moving the exponent at position i
+    to position index[i]; every other exponent must be zero."""
+    terms = []
     for key, coeff in poly.terms.items():
-        exps = [0] * len(tc.chart.gvars)
-        for pos_, i in enumerate(xidx):
-            exps[pos_] = key[i]
+        exps = [0] * len(chart.gvars)
+        for i, j in index.items():
+            exps[j] = key[i]
         if sum(key) != sum(exps):
             raise ValueError("polynomial is not base-only")
-        out = out + tc.chart.monomial(coeff, tuple(exps))
-    return out
-
-
-def _from_tangent(dchart, even, tc, poly):
-    out = dchart.chart.zero()
-    back = {pos_: dchart.chart.index(p.q_name) for pos_, p in enumerate(even)}
-    for key, coeff in poly.terms.items():
-        exps = [0] * len(dchart.chart.gvars)
-        for pos_, e in enumerate(key[:len(even)]):
-            exps[back[pos_]] = e
-        if sum(key) != sum(exps):
-            raise ValueError("polynomial is not base-only")
-        out = out + dchart.chart.monomial(coeff, tuple(exps))
-    return out
+        terms.append(chart.monomial(coeff, tuple(exps)))
+    return chart.sum(terms)
 
 
 def check_dorfman(session, st):
     h = session.get(st.args[0], "ham", pos=st.pos)
     dchart = h.dchart
-    even, odd = _courant_layout(dchart, st.pos)
-    m = len(even)
+    xnames = _courant_base(dchart, st.pos)
+    m = len(xnames)
     samples = 20
     if len(st.args) > 2 and st.args[1] == "samples":
         samples = int(st.args[2])
     tc = TangentChart(m)
     rng = session.rng
+    # the base coordinates go to x1..xm, the first m coordinates of tc
+    to_tc = {dchart.chart.index(nm): a for a, nm in enumerate(xnames)}
+    from_tc = {a: i for i, a in to_tc.items()}
 
-    def rand_base(chart, xnames):
-        p = chart.zero()
-        for _ in range(rng.randint(1, 2)):
-            key = [0] * len(chart.gvars)
-            for nm in xnames:
-                key[chart.index(nm)] = rng.randint(0, 2)
-            p = p + chart.monomial(Fraction(rng.randint(-2, 2)), tuple(key))
-        return p
+    def rand_poly():
+        return dchart.chart.sum(_rand_base(rng, dchart.chart, xnames, 2)
+                                for _ in range(rng.randint(1, 2)))
 
-    xnames = [p.q_name for p in even]
+    def tangent_section(V, form):
+        return ([_transport(f, tc.chart, to_tc) for f in V],
+                tc.chart.sum(_transport(f, tc.chart, to_tc) * tc.xi(a + 1)
+                             for a, f in enumerate(form)))
+
     for _ in range(samples):
-        X = [rand_base(dchart.chart, xnames) for _ in range(m)]
-        xi = [rand_base(dchart.chart, xnames) for _ in range(m)]
-        Y = [rand_base(dchart.chart, xnames) for _ in range(m)]
-        zeta = [rand_base(dchart.chart, xnames) for _ in range(m)]
-        e1 = _encode_section(dchart, even, odd, X, xi)
-        e2 = _encode_section(dchart, even, odd, Y, zeta)
+        X, xi, Y, zeta = ([rand_poly() for _ in range(m)] for _ in range(4))
+        e1 = sig.section_encode(dchart, X, xi)
+        e2 = sig.section_encode(dchart, Y, zeta)
         got = sig.derived_bracket(dchart, h, e1, e2)
-        sec1 = ([_to_tangent(dchart, even, tc, f) for f in X],
-                sum((_to_tangent(dchart, even, tc, f) * tc.xi(a + 1)
-                     for a, f in enumerate(xi)), tc.chart.zero()))
-        sec2 = ([_to_tangent(dchart, even, tc, f) for f in Y],
-                sum((_to_tangent(dchart, even, tc, f) * tc.xi(a + 1)
-                     for a, f in enumerate(zeta)), tc.chart.zero()))
-        vec, form = dorfman_bracket(tc, sec1, sec2)
-        expected = _encode_section(
-            dchart, even, odd,
-            [_from_tangent(dchart, even, tc, v) for v in vec],
-            [_from_tangent(dchart, even, tc, left_derivative(form, tc.xi_names[a]))
+        vec, form = dorfman_bracket(tc, tangent_section(X, xi), tangent_section(Y, zeta))
+        expected = sig.section_encode(
+            dchart,
+            [_transport(v, dchart.chart, from_tc) for v in vec],
+            [_transport(left_derivative(form, tc.xi_names[a]), dchart.chart, from_tc)
              for a in range(m)])
         if got != expected:
             return "fail", None, "derived bracket differs from the Dorfman oracle"
     return "pass", None, f"{samples} random sections agree exactly"
 
 
-def _encode_section(dchart, even, odd, X, xi):
-    out = dchart.zero()
-    for a in range(len(even)):
-        out = out + X[a] * dchart.var(odd[a].p_name) + xi[a] * dchart.var(odd[a].q_name)
-    return out
-
-
 def check_pairing(session, st):
     dchart = session.get(st.args[0], "sigma", pos=st.pos)
-    even, odd = _courant_layout(dchart, st.pos)
-    m = len(even)
+    xnames = _courant_base(dchart, st.pos)
+    m = len(xnames)
     rng = session.rng
-    xnames = [p.q_name for p in even]
-
-    def rand_base(chart):
-        key = [0] * len(chart.gvars)
-        for nm in xnames:
-            key[chart.index(nm)] = rng.randint(0, 1)
-        return chart.monomial(Fraction(rng.randint(-2, 2)), tuple(key))
-
     for _ in range(20):
-        X = [rand_base(dchart.chart) for _ in range(m)]
-        xi = [rand_base(dchart.chart) for _ in range(m)]
-        Y = [rand_base(dchart.chart) for _ in range(m)]
-        zeta = [rand_base(dchart.chart) for _ in range(m)]
-        e1 = _encode_section(dchart, even, odd, X, xi)
-        e2 = _encode_section(dchart, even, odd, Y, zeta)
+        X, xi, Y, zeta = ([_rand_base(rng, dchart.chart, xnames, 1) for _ in range(m)]
+                          for _ in range(4))
+        e1 = sig.section_encode(dchart, X, xi)
+        e2 = sig.section_encode(dchart, Y, zeta)
         got = sig.poisson_bracket(dchart, e1, e2)
-        want = dchart.zero()
-        for a in range(m):
-            want = want + X[a] * zeta[a] + Y[a] * xi[a]
+        want = dchart.chart.sum(f * g for f, g in zip(X + Y, zeta + xi))
         if got != want:
             return "fail", None, "section bracket differs from iota_X zeta + iota_Y xi"
     return "pass", None, None

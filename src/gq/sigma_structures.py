@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, GradingError, StructureError, UnsupportedInputError
-from .graded_algebra import Chart, GPoly, GVar, _rat, _right_derivative, left_derivative
+from .graded_algebra import Chart, GPoly, GVar, _derivative, _rat, left_derivative
 from .nq_core import Derivation, q_square
 
 
@@ -114,15 +114,13 @@ def poisson_bracket(dchart: DarbouxChart, f: GPoly, g: GPoly) -> GPoly:
     chart = dchart.chart
     if f.chart != chart or g.chart != chart:
         raise ChartMismatchError("arguments do not live on this Darboux chart")
-    result = chart.zero()
+    terms = []
     for pr in dchart.pairs:
-        qp = pr.q_weight % 2
-        pp = pr.p_weight % 2
-        t1 = _right_derivative(f, pr.q_name) * left_derivative(g, pr.p_name)
-        t2 = _right_derivative(f, pr.p_name) * left_derivative(g, pr.q_name)
-        contrib = t1 - t2 if (qp * pp) % 2 == 0 else t1 + t2
-        result = result + contrib * pr.sign
-    return result
+        odd_pair = pr.q_weight % 2 and pr.p_weight % 2
+        t1 = _derivative(f, pr.q_name, right=True) * left_derivative(g, pr.p_name)
+        t2 = _derivative(f, pr.p_name, right=True) * left_derivative(g, pr.q_name)
+        terms += (t1 * pr.sign, t2 * (pr.sign if odd_pair else -pr.sign))
+    return chart.sum(terms)
 
 
 class Hamiltonian:
@@ -179,7 +177,7 @@ def q_to_hamiltonian(dchart: DarbouxChart, Q: Derivation) -> GPoly:
     if Q.degree != 1:
         raise GradingError("q_to_hamiltonian expects a degree-1 field")
     n = dchart.n
-    theta = dchart.zero()
+    terms = []
     for pr in dchart.pairs:
         q, p = dchart.var(pr.q_name), dchart.var(pr.p_name)
         qw, pw = pr.q_weight, pr.p_weight
@@ -188,9 +186,9 @@ def q_to_hamiltonian(dchart: DarbouxChart, Q: Derivation) -> GPoly:
         sp = Fraction(-1) if (pw % 2) * (n % 2) else Fraction(1)
         spar = Fraction(-1) if (qw % 2) * (pw % 2) else Fraction(1)
         inv = Fraction(1) / pr.sign
-        theta = theta + q * Q.component(pr.p_name) * (sq * Fraction(qw) * inv)
-        theta = theta - p * Q.component(pr.q_name) * (sp * spar * Fraction(pw) * inv)
-    theta = theta * Fraction(1, n + 1)
+        terms.append(q * Q.component(pr.p_name) * (sq * Fraction(qw) * inv))
+        terms.append(p * Q.component(pr.q_name) * -(sp * spar * Fraction(pw) * inv))
+    theta = dchart.chart.sum(terms) * Fraction(1, n + 1)
     candidate = theta.weight_component(n + 1)
     if candidate != theta:
         raise StructureError("Q is not symplectic: reconstructed Hamiltonian is inhomogeneous")
@@ -242,11 +240,9 @@ def poisson_theta(dchart: DarbouxChart, pi) -> GPoly:
         if key in upper and upper[key] != val:
             raise ValueError(f"conflicting bivector entries at {key}")
         upper[key] = val
-    theta = dchart.zero()
-    for (a, b), coeff in upper.items():
-        # the (a,b) and (b,a) orders of the 1/2 pi^{ab} p_a p_b sum coincide
-        theta = theta - coeff * dchart.var(f"p{a}") * dchart.var(f"p{b}")
-    return theta
+    # the (a,b) and (b,a) orders of the 1/2 pi^{ab} p_a p_b sum coincide
+    return dchart.chart.sum(-coeff * dchart.var(f"p{a}") * dchart.var(f"p{b}")
+                            for (a, b), coeff in upper.items())
 
 
 def courant_theta(dchart: DarbouxChart, eta: GPoly | None = None) -> GPoly:
@@ -258,9 +254,7 @@ def courant_theta(dchart: DarbouxChart, eta: GPoly | None = None) -> GPoly:
     if dchart.n != 2:
         raise GradingError("courant_theta lives on a degree-2 chart")
     m = len(dchart.pairs) // 2
-    theta = dchart.zero()
-    for a in range(1, m + 1):
-        theta = theta + dchart.var(f"theta{a}") * dchart.var(f"p{a}")
+    terms = [dchart.var(f"theta{a}") * dchart.var(f"p{a}") for a in range(1, m + 1)]
     if eta is not None:
         if not eta.is_homogeneous(3):
             raise GradingError("twisting form must be homogeneous of weight 3")
@@ -269,26 +263,34 @@ def courant_theta(dchart: DarbouxChart, eta: GPoly | None = None) -> GPoly:
             for i, e in enumerate(key):
                 if e and dchart.chart.gvars[i].name in banned:
                     raise GradingError("twisting form may only involve x and theta")
-        theta = theta + eta
-    return theta
+        terms.append(eta)
+    return dchart.chart.sum(terms)
+
+
+def _odd_pairs(dchart: DarbouxChart):
+    return [pr for pr in dchart.pairs if pr.q_weight % 2]
 
 
 def section_encode(dchart: DarbouxChart, X, xi) -> GPoly:
-    """Vector + 1-form (X^a, xi_a) as the weight-1 function X^a chi_a + xi_a theta^a."""
-    m = len(dchart.pairs) // 2
-    out = dchart.zero()
-    for a in range(1, m + 1):
-        Xa = X[a - 1] if isinstance(X[a - 1], GPoly) else dchart.chart.const(X[a - 1])
-        xia = xi[a - 1] if isinstance(xi[a - 1], GPoly) else dchart.chart.const(xi[a - 1])
-        out = out + Xa * dchart.var(f"chi{a}") + xia * dchart.var(f"theta{a}")
-    return out
+    """Vector + 1-form (X^a, xi_a) as the weight-1 function X^a p_a + xi_a q^a,
+    where (q_a, p_a) are the odd pairs of a degree-2 chart in order: on
+    courant_chart, X^a chi_a + xi_a theta^a."""
+    chart = dchart.chart
+
+    def as_poly(c):
+        return c if isinstance(c, GPoly) else chart.const(c)
+
+    terms = []
+    for a, pr in enumerate(_odd_pairs(dchart)):
+        terms += (as_poly(X[a]) * chart.var(pr.p_name), as_poly(xi[a]) * chart.var(pr.q_name))
+    return chart.sum(terms)
 
 
 def section_decode(dchart: DarbouxChart, e: GPoly):
-    """Inverse of section_encode for weight-1 functions on the standard chart."""
-    m = len(dchart.pairs) // 2
-    X = [left_derivative(e, f"chi{a}") for a in range(1, m + 1)]
-    xi = [left_derivative(e, f"theta{a}") for a in range(1, m + 1)]
+    """Inverse of section_encode for weight-1 functions."""
+    odd = _odd_pairs(dchart)
+    X = [left_derivative(e, pr.p_name) for pr in odd]
+    xi = [left_derivative(e, pr.q_name) for pr in odd]
     return X, xi
 
 
@@ -361,18 +363,12 @@ def algebroid_to_q(A: AlgebroidData) -> Derivation:
     chart = A.chart
     comps = {}
     for a in range(1, A.base_dim + 1):
-        acc = chart.zero()
-        for i in range(1, A.fiber_dim + 1):
-            acc = acc + chart.var(f"xi{i}") * A.anchor(a, i)
-        comps[f"x{a}"] = acc
+        comps[f"x{a}"] = chart.sum(chart.var(f"xi{i}") * A.anchor(a, i)
+                                   for i in range(1, A.fiber_dim + 1))
     for k in range(1, A.fiber_dim + 1):
-        acc = chart.zero()
-        for (kk, i, j), coeff in A.c.items():
-            if kk != k:
-                continue
-            # sum over ordered pairs i < j absorbs the 1/2
-            acc = acc - coeff * chart.var(f"xi{i}") * chart.var(f"xi{j}")
-        comps[f"xi{k}"] = acc
+        # sum over ordered pairs i < j absorbs the 1/2
+        comps[f"xi{k}"] = chart.sum(-coeff * chart.var(f"xi{i}") * chart.var(f"xi{j}")
+                                    for (kk, i, j), coeff in A.c.items() if kk == k)
     return Derivation(chart, 1, comps)
 
 

@@ -248,6 +248,47 @@ def test_cli_out_of_range_option_exits_2(tmp_path, capsys, option):
         assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source,where", [
+    ("sigma S deg 1 pairs { (x:0, p:1, sign 1/0); }", ":1:41:"),
+    ("sigma S deg 1 pairs { (x:0, p:1); }\nham H on S = 1/0*x*p;", ":2:16:"),
+])
+def test_cli_zero_denominator_exits_2(tmp_path, capsys, source, where):
+    f = tmp_path / "p.gq"
+    f.write_text(source)
+    assert cli_main(["run", str(f)]) == 2
+    assert f"{where} zero denominator" in capsys.readouterr().err
+
+
+_NODES_1X1 = "".join(f"node {i} {j} 1 0 0 0\n" for i in (0, 1) for j in (0, 1))
+
+
+@pytest.mark.parametrize("kind,text,message", [
+    ("grid", "node 0 0 1 0 0 0\ngrid 1 1\n", "before the grid header"),
+    ("grid", "grid 1 1\n" + _NODES_1X1 + "node 5 5 1 0 0 0\n", "outside"),
+    ("grid", "grid 1 1\n" + _NODES_1X1 + "node -1 -1 1 0 0 0\n", "outside"),
+    ("grid", "grid 1 1\n" + _NODES_1X1 + "cell 0 1 0.5\n", "outside"),
+    ("grid", "grid 1\n", "needs 2 fields"),
+    ("complex", "gqcomplex 1\ncomponent 0 1\ncomponent 1 2\ndifferential 0\n1\n",
+     "needs 2 rows"),
+    ("complex", "gqcomplex 1\ncomponent 0\n", "needs 2 integer"),
+    ("path", "dim\n0 1\n1 1\n", "'dim' header"),
+])
+def test_cli_malformed_data_file_exits_2(tmp_path, capsys, kind, text, message):
+    (tmp_path / "bad.dat").write_text(text)
+    f = tmp_path / "p.gq"
+    f.write_text(f'load {kind} B "bad.dat";')
+    assert cli_main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_negative_nmap_dimension_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.gq"
+    f.write_text("sigma S deg 1 pairs { (x:0, p:1); } nmap N on S dim -1; check nmap N;")
+    assert cli_main(["run", str(f)]) == 2
+    assert "N-map source dimension -1 is negative" in capsys.readouterr().err
+
+
 def test_cli_one_shot_check(capsys):
     code = cli_main(["check", "q2", "Q", "-s",
                      "chart X { x:0; xi:1; } qfield Q on X { x -> xi; xi -> 0; }"])

@@ -1,13 +1,16 @@
 """The exact supercommutative polynomial kernel."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from gq import (
-    Chart, ChartMismatchError, GPoly, GradingError, GVar, left_derivative,
-    multiply, rescale, scaling_check, substitute, weight_of,
+    Chart, ChartMismatchError, DarbouxChart, GPoly, GradingError, GVar, left_derivative,
+    multiply, nmap_space, rescale, scaling_check, substitute, weight_of,
 )
+from gq.graded_algebra import _derivative
 from conftest import homogeneous_pieces, random_poly
 
 
@@ -139,3 +142,185 @@ def test_substitute_same_weight(chart):
     assert got == xi1 * (xi2 + x * xi3) * xi3
     with pytest.raises(GradingError):
         substitute(p, "x", xi1)  # weight mismatch
+
+
+def test_chart_sum(chart, rng):
+    for _ in range(50):
+        polys = [random_poly(chart, rng) for _ in range(rng.randint(0, 4))]
+        want = chart.zero()
+        for q in polys:
+            want = want + q
+        assert chart.sum(polys) == want
+    x, xi1 = chart.var("x"), chart.var("xi1")
+    assert chart.sum([x, -x]).terms == {}
+    assert rescale(xi1 + x, 0).terms == x.terms
+    with pytest.raises(ChartMismatchError):
+        chart.sum([x, Chart.build(("x", 0)).var("x")])
+
+
+# -- properties of the Koszul kernel on generated charts ---------------------
+#
+# Each property runs under hypothesis when it is installed and skips without
+# it. The references below are the scalar formulas the kernel had before its
+# term arithmetic went through one collector.
+
+
+def _right_derivative_reference(p, v):
+    """Right derivative term by term: strip v, one sign per odd factor after it."""
+    chart = p.chart
+    i = chart.index(v)
+    parity_v = chart.parities[i]
+    out = {}
+    for key, c in p.terms.items():
+        e = key[i]
+        if e == 0:
+            continue
+        new_key = key[:i] + (e - 1,) + key[i + 1:]
+        if parity_v == 0:
+            coeff = c * e
+        else:
+            after = sum(1 for j in range(i + 1, len(key)) if key[j] and chart.parities[j])
+            coeff = -c if after % 2 else c
+        s = out.get(new_key, Fraction(0)) + coeff
+        if s == 0:
+            out.pop(new_key, None)
+        else:
+            out[new_key] = s
+    return GPoly(chart, out)
+
+
+def _substitute_reference(p, v, q):
+    """Substitution term by term, multiplying q in one factor at a time."""
+    chart = p.chart
+    i = chart.index(v)
+    result = chart.zero()
+    for key, c in p.terms.items():
+        e = key[i]
+        if e and chart.parities[i]:
+            after = sum(1 for j in range(i + 1, len(key)) if key[j] and chart.parities[j])
+            if after % 2:
+                c = -c
+        term = chart.monomial(c, key[:i] + (0,) + key[i + 1:])
+        for _ in range(e):
+            term = term * q
+        result = result + term
+    return result
+
+
+def _nmap_pairing_reference(dchart, n):
+    """Size and entries of the N-map pairing: disjoint subsets S, T pair with
+    the pair coefficient times (-1)^#{(s, t): s > t}."""
+    offsets, total = {}, 0
+    for pr in dchart.pairs:
+        for name, w in ((pr.q_name, pr.q_weight), (pr.p_name, pr.p_weight)):
+            offsets[name] = total
+            total += math.comb(n, w)
+    entries = {}
+    for pr in dchart.pairs:
+        if pr.q_weight + pr.p_weight != n:
+            continue
+        for iq, S in enumerate(itertools.combinations(range(1, n + 1), pr.q_weight)):
+            for ip, T in enumerate(itertools.combinations(range(1, n + 1), pr.p_weight)):
+                if set(S) & set(T):
+                    continue
+                val = pr.sign * (-1) ** sum(1 for s in S for t in T if s > t)
+                entries[(offsets[pr.q_name] + iq, offsets[pr.p_name] + ip)] = val
+                entries[(offsets[pr.p_name] + ip, offsets[pr.q_name] + iq)] = -val
+    return total, entries
+
+
+def _given(*builders):
+    """Run the decorated property on examples drawn by hypothesis; each
+    builder maps `hypothesis.strategies` to one argument's strategy."""
+    def decorate(prop):
+        def test():
+            hypothesis = pytest.importorskip("hypothesis")
+            st = hypothesis.strategies
+            run = hypothesis.given(*(b(st) for b in builders))(prop)
+            hypothesis.settings(max_examples=80, deadline=None)(run)()
+        test.__name__ = prop.__name__
+        return test
+    return decorate
+
+
+def _polys(count):
+    """A chart of 1-5 variables of weights 0-3, one of its variable names and
+    `count` polynomials of up to four terms on it."""
+    def build(st):
+        @st.composite
+        def case(draw):
+            weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+            chart = Chart.build(*((f"v{i}", w) for i, w in enumerate(weights)))
+            keys = st.tuples(*(st.integers(0, 1 if w % 2 else 2) for w in weights))
+            coeffs = st.fractions(-3, 3, max_denominator=2)
+            polys = [GPoly(chart, draw(st.dictionaries(keys, coeffs, max_size=4)))
+                     for _ in range(count)]
+            return chart, f"v{draw(st.integers(0, len(weights) - 1))}", polys
+        return case()
+    return build
+
+
+def _darboux(st):
+    """A Darboux chart of degree 0-3 with up to three pairs, and a source dimension."""
+    @st.composite
+    def case(draw):
+        n = draw(st.integers(0, 3))
+        pairs = []
+        for a in range(draw(st.integers(0, 3))):
+            w = draw(st.integers(0, n))
+            pairs.append((f"q{a}", w, f"p{a}", n - w, draw(st.sampled_from([-2, -1, 1, 3]))))
+        return DarbouxChart(n, pairs), draw(st.integers(0, 4))
+    return case()
+
+
+@_given(_polys(3))
+def test_associativity_property(case):
+    _, _, (p, q, r) = case
+    assert (p * q) * r == p * (q * r)
+
+
+@_given(_polys(2))
+def test_supercommutativity_property(case):
+    _, _, (p0, q0) = case
+    for p in homogeneous_pieces(p0):
+        for q in homogeneous_pieces(q0):
+            sign = -1 if p.weight() * q.weight() % 2 else 1
+            assert p * q == sign * (q * p)
+
+
+@_given(_polys(2))
+def test_left_leibniz_property(case):
+    chart, v, (p0, q) = case
+    parity_v = chart.gvar(v).parity
+    for p in homogeneous_pieces(p0):
+        sign = -1 if parity_v * p.weight() % 2 else 1
+        lhs = left_derivative(p * q, v)
+        assert lhs == left_derivative(p, v) * q + sign * p * left_derivative(q, v)
+
+
+@_given(_polys(1))
+def test_right_derivative_property(case):
+    chart, v, (p,) = case
+    assert _derivative(p, v, right=True) == _right_derivative_reference(p, v)
+    parity_v = chart.gvar(v).parity
+    for key, c in p.terms.items():
+        m = GPoly(chart, {key: c})
+        left = left_derivative(m, v)
+        sign = -1 if parity_v * left.parity() else 1
+        assert _derivative(m, v, right=True) == sign * left
+
+
+@_given(_polys(2))
+def test_substitute_property(case):
+    chart, v, (p, r) = case
+    q = r.weight_component(chart.gvar(v).weight)
+    assert substitute(p, v, q) == _substitute_reference(p, v, q)
+
+
+@_given(_darboux)
+def test_nmap_pairing_property(case):
+    dchart, n = case
+    N = nmap_space(dchart, n)
+    total, entries = _nmap_pairing_reference(dchart, n)
+    assert N.total_dim == total and N.pairing.shape == (total, total)
+    assert {(r, c): x for r, row in enumerate(N.pairing.rows) for c, x in row.items()} == entries
