@@ -2,8 +2,9 @@
 
 Variables carry a non-negative integer weight; parity is weight mod 2.
 Odd variables anticommute and square to zero, even variables commute.
-Coefficients are exact rationals throughout; equality of polynomials is
-structural equality of canonical forms.
+Coefficients are exact rationals, kept as Python `int` until a non-integral
+rational appears; equality of polynomials is structural equality of
+canonical forms.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from .errors import ChartMismatchError, GradingError
 Rat = Fraction
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _rat(x):
+    """An exact rational: an `int` when integral, a `Fraction` otherwise."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
@@ -65,7 +67,7 @@ class Chart:
         return len(self.gvars)
 
     def __eq__(self, other):
-        return isinstance(other, Chart) and self.gvars == other.gvars
+        return self is other or (isinstance(other, Chart) and self.gvars == other.gvars)
 
     def __hash__(self):
         return hash(self.gvars)
@@ -104,7 +106,7 @@ class Chart:
     def var(self, name: str) -> "GPoly":
         i = self.index(name)
         key = tuple(1 if j == i else 0 for j in range(len(self.gvars)))
-        return GPoly(self, {key: Fraction(1)})
+        return GPoly(self, {key: 1})
 
     def monomial(self, c, exponents) -> "GPoly":
         """Monomial with explicit exponent tuple (odd exponents clipped to {0,1} rules)."""
@@ -156,6 +158,42 @@ def _merge_sign(odd_a, odd_b):
             if i > j:
                 inversions += 1
     return -1 if inversions % 2 else 1
+
+
+def _products(chart: Chart, left_terms, right_terms):
+    """The (key, coefficient) pairs of the Koszul product of two term lists:
+    every left term times every right term, with the merge sign of their
+    odd words; pairs sharing an odd factor vanish."""
+    right = [(kb, cb, _odd_word(chart, kb)) for kb, cb in right_terms]
+    for ka, ca in left_terms:
+        odd_a = _odd_word(chart, ka)
+        for kb, cb, odd_b in right:
+            sign = _merge_sign(odd_a, odd_b)
+            if sign is not None:
+                c = ca * cb
+                yield tuple(map(add, ka, kb)), (c if sign > 0 else -c)
+
+
+def _partials(chart: Chart, key, right: bool, wanted):
+    """The derivatives of a monomial with coefficient 1 by its variables in
+    `wanted`, as (index, key, factor) triples.
+
+    The factor is the exponent for an even variable. For an odd one it is
+    -1 per odd factor standing on the requested side of it: before it for
+    the left derivative, after it for the right one.
+    """
+    parities = chart.parities
+    flip = 1
+    for i in (range(len(key) - 1, -1, -1) if right else range(len(key))):
+        e = key[i]
+        if not e:
+            continue
+        if parities[i]:
+            if i in wanted:
+                yield i, key[:i] + (0,) + key[i + 1:], flip
+            flip = -flip
+        elif i in wanted:
+            yield i, key[:i] + (e - 1,) + key[i + 1:], e
 
 
 def _sum_pairs(pairs) -> dict:
@@ -238,9 +276,9 @@ class GPoly:
             out.setdefault(w, {})[k] = c
         return {w: GPoly(self.chart, t) for w, t in sorted(out.items())}
 
-    def constant_term(self) -> Fraction:
+    def constant_term(self):
         zero_key = (0,) * len(self.chart)
-        return self.terms.get(zero_key, Fraction(0))
+        return self.terms.get(zero_key, 0)
 
     def _check_chart(self, other):
         if self.chart != other.chart:
@@ -272,17 +310,7 @@ class GPoly:
             c = _rat(other)
             return _collect(chart, ((k, v * c) for k, v in self.terms.items()))
         self._check_chart(other)
-        right = [(kb, cb, _odd_word(chart, kb)) for kb, cb in other.terms.items()]
-
-        def products():
-            for ka, ca in self.terms.items():
-                odd_a = _odd_word(chart, ka)
-                for kb, cb, odd_b in right:
-                    sign = _merge_sign(odd_a, odd_b)
-                    if sign is not None:
-                        c = ca * cb
-                        yield tuple(map(add, ka, kb)), (c if sign > 0 else -c)
-        return _collect(chart, products())
+        return _collect(chart, _products(chart, self.terms.items(), other.terms.items()))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -361,14 +389,9 @@ def _derivative(p: GPoly, v, right: bool) -> GPoly:
     """
     chart = p.chart
     i = chart.index(v)
-    if not chart.parities[i]:
-        return _collect(chart, ((key[:i] + (key[i] - 1,) + key[i + 1:], c * key[i])
-                                for key, c in p.terms.items() if key[i]))
-    side = range(i + 1, len(chart)) if right else range(i)
-    odd = [j for j in side if chart.parities[j]]
-    return _collect(chart, ((key[:i] + (0,) + key[i + 1:],
-                             -c if sum(key[j] for j in odd) % 2 else c)
-                            for key, c in p.terms.items() if key[i]))
+    wanted = (i,)
+    return _collect(chart, ((k, c * f) for key, c in p.terms.items() if key[i]
+                            for _, k, f in _partials(chart, key, right, wanted)))
 
 
 def weight_of(p: GPoly):

@@ -700,6 +700,8 @@ def check_dorfman(session, st):
     samples = 20
     if len(st.args) > 2 and st.args[1] == "samples":
         samples = int(st.args[2])
+        if samples < 1:
+            raise SemanticError(f"dorfman needs at least 1 sample, got {samples}", *st.pos)
     tc = TangentChart(m)
     rng = session.rng
     # the base coordinates go to x1..xm, the first m coordinates of tc

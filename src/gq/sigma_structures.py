@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import ChartMismatchError, GradingError, StructureError, UnsupportedInputError
-from .graded_algebra import Chart, GPoly, GVar, _derivative, _rat, left_derivative
+from .graded_algebra import (
+    Chart, GPoly, GVar, _collect, _partials, _products, _rat, left_derivative,
+)
 from .nq_core import Derivation, q_square
 
 
@@ -35,6 +38,9 @@ class DarbouxChart:
     Weights are forced into [0, n] (a degree-n symplectic chart cannot carry
     higher coordinates), and each pair's weights must sum to n. The pairing
     is nondegenerate by construction.
+
+    `layout[i]` is `(conj(i), s_i)` for chart index i: the index of its
+    conjugate and its factor in {f, g} = sum_i s_i dR_i f * dL_conj(i) g.
     """
 
     def __init__(self, n: int, pairs):
@@ -62,6 +68,11 @@ class DarbouxChart:
             gvars.append(GVar(p.p_name, p.p_weight))
         self.pairs = tuple(norm)
         self.chart = Chart(gvars)
+        layout = []
+        for a, p in enumerate(self.pairs):
+            odd_pair = p.q_weight % 2 and p.p_weight % 2
+            layout += ((2 * a + 1, p.sign), (2 * a, p.sign if odd_pair else -p.sign))
+        self.layout = tuple(layout)
 
     def var(self, name: str) -> GPoly:
         return self.chart.var(name)
@@ -108,19 +119,29 @@ def poisson_bracket(dchart: DarbouxChart, f: GPoly, g: GPoly) -> GPoly:
     """The degree-(-n) bracket induced by omega.
 
     {f, g} = sum over pairs of
-        sign * [ dR_q f * dL_p g  -  (-1)^(|q||p|) dR_p f * dL_q g ].
+        sign * [ dR_q f * dL_p g  -  (-1)^(|q||p|) dR_p f * dL_q g ],
+    that is sum_i s_i dR_i f * dL_conj(i) g over the chart's conjugate
+    layout. One sweep over g groups its left derivatives by variable, one
+    sweep over f takes the right derivatives by the conjugates of those
+    variables, scaled by s_i, and only those products are formed.
     On coordinates {q_i, p_j} = sign_i * delta_ij.
     """
     chart = dchart.chart
     if f.chart != chart or g.chart != chart:
         raise ChartMismatchError("arguments do not live on this Darboux chart")
-    terms = []
-    for pr in dchart.pairs:
-        odd_pair = pr.q_weight % 2 and pr.p_weight % 2
-        t1 = _derivative(f, pr.q_name, right=True) * left_derivative(g, pr.p_name)
-        t2 = _derivative(f, pr.p_name, right=True) * left_derivative(g, pr.q_name)
-        terms += (t1 * pr.sign, t2 * (pr.sign if odd_pair else -pr.sign))
-    return chart.sum(terms)
+    layout = dchart.layout
+    everything = range(len(chart))
+    # left[i] holds dL_conj(i) g, right[i] holds s_i dR_i f
+    left = {}
+    for key, c in g.terms.items():
+        for j, k, e in _partials(chart, key, False, everything):
+            left.setdefault(layout[j][0], []).append((k, c * e))
+    right = {}
+    for key, c in f.terms.items():
+        for i, k, e in _partials(chart, key, True, left):
+            right.setdefault(i, []).append((k, c * e * layout[i][1]))
+    return _collect(chart, chain.from_iterable(
+        _products(chart, terms, left[i]) for i, terms in right.items()))
 
 
 class Hamiltonian:

@@ -32,6 +32,21 @@ def random_poly(chart, rng, max_terms=3, max_even_exp=2, coeff_range=3):
     return p
 
 
+def given(*builders):
+    """Run the decorated property on examples drawn by hypothesis, and skip it
+    when hypothesis is not installed; each builder maps
+    `hypothesis.strategies` to one argument's strategy."""
+    def decorate(prop):
+        def test():
+            hypothesis = pytest.importorskip("hypothesis")
+            st = hypothesis.strategies
+            run = hypothesis.given(*(b(st) for b in builders))(prop)
+            hypothesis.settings(max_examples=80, deadline=None)(run)()
+        test.__name__ = prop.__name__
+        return test
+    return decorate
+
+
 def homogeneous_pieces(p):
     return [c for c in p.weight_decomposition().values() if not c.is_zero()]
 

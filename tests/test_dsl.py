@@ -289,6 +289,16 @@ def test_cli_negative_nmap_dimension_exits_2(tmp_path, capsys):
     assert "N-map source dimension -1 is negative" in capsys.readouterr().err
 
 
+def test_cli_dorfman_without_samples_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.gq"
+    f.write_text("sigma S deg 2 pairs { (x:0, p:2, sign -1); (theta:1, chi:1); }\n"
+                 "ham TH on S = theta*p;\ncheck dorfman TH samples 0;")
+    assert cli_main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "3:1: dorfman needs at least 1 sample, got 0" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_one_shot_check(capsys):
     code = cli_main(["check", "q2", "Q", "-s",
                      "chart X { x:0; xi:1; } qfield Q on X { x -> xi; xi -> 0; }"])

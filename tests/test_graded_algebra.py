@@ -11,7 +11,7 @@ from gq import (
     multiply, nmap_space, rescale, scaling_check, substitute, weight_of,
 )
 from gq.graded_algebra import _derivative
-from conftest import homogeneous_pieces, random_poly
+from conftest import given, homogeneous_pieces, random_poly
 
 
 @pytest.fixture
@@ -158,6 +158,28 @@ def test_chart_sum(chart, rng):
         chart.sum([x, Chart.build(("x", 0)).var("x")])
 
 
+def test_integral_coefficients_are_int(chart):
+    x, xi1, xi2 = chart.var("x"), chart.var("xi1"), chart.var("xi2")
+    for p in (chart.const(Fraction(4, 2)), chart.const("6/3"), x, 3 * x * xi1 * xi2,
+              left_derivative(x * x * xi2, "x")):
+        assert all(type(c) is int for c in p.terms.values()), p
+    assert chart.const(Fraction(4, 2)).terms == {(0,) * 5: 2}
+    half = chart.const(Fraction(1, 2))
+    assert type(next(iter(half.terms.values()))) is Fraction
+    assert (half * 2).terms[(0,) * 5] == 1
+    assert half * 2 == chart.one() and half + half == chart.one()
+
+
+def test_int_and_fraction_coefficients_agree(chart, rng):
+    for _ in range(30):
+        p = random_poly(chart, rng) * chart.var("x")
+        as_int = GPoly(chart, {k: int(c) for k, c in p.terms.items()})
+        as_fraction = GPoly(chart, {k: Fraction(c) for k, c in p.terms.items()})
+        assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+        assert str(as_int) == str(as_fraction)
+        assert str(as_int * Fraction(1, 2)) == str(as_fraction * Fraction(1, 2))
+
+
 # -- properties of the Koszul kernel on generated charts ---------------------
 #
 # Each property runs under hypothesis when it is installed and skips without
@@ -229,20 +251,6 @@ def _nmap_pairing_reference(dchart, n):
     return total, entries
 
 
-def _given(*builders):
-    """Run the decorated property on examples drawn by hypothesis; each
-    builder maps `hypothesis.strategies` to one argument's strategy."""
-    def decorate(prop):
-        def test():
-            hypothesis = pytest.importorskip("hypothesis")
-            st = hypothesis.strategies
-            run = hypothesis.given(*(b(st) for b in builders))(prop)
-            hypothesis.settings(max_examples=80, deadline=None)(run)()
-        test.__name__ = prop.__name__
-        return test
-    return decorate
-
-
 def _polys(count):
     """A chart of 1-5 variables of weights 0-3, one of its variable names and
     `count` polynomials of up to four terms on it."""
@@ -273,13 +281,13 @@ def _darboux(st):
     return case()
 
 
-@_given(_polys(3))
+@given(_polys(3))
 def test_associativity_property(case):
     _, _, (p, q, r) = case
     assert (p * q) * r == p * (q * r)
 
 
-@_given(_polys(2))
+@given(_polys(2))
 def test_supercommutativity_property(case):
     _, _, (p0, q0) = case
     for p in homogeneous_pieces(p0):
@@ -288,7 +296,7 @@ def test_supercommutativity_property(case):
             assert p * q == sign * (q * p)
 
 
-@_given(_polys(2))
+@given(_polys(2))
 def test_left_leibniz_property(case):
     chart, v, (p0, q) = case
     parity_v = chart.gvar(v).parity
@@ -298,7 +306,7 @@ def test_left_leibniz_property(case):
         assert lhs == left_derivative(p, v) * q + sign * p * left_derivative(q, v)
 
 
-@_given(_polys(1))
+@given(_polys(1))
 def test_right_derivative_property(case):
     chart, v, (p,) = case
     assert _derivative(p, v, right=True) == _right_derivative_reference(p, v)
@@ -310,14 +318,14 @@ def test_right_derivative_property(case):
         assert _derivative(m, v, right=True) == sign * left
 
 
-@_given(_polys(2))
+@given(_polys(2))
 def test_substitute_property(case):
     chart, v, (p, r) = case
     q = r.weight_component(chart.gvar(v).weight)
     assert substitute(p, v, q) == _substitute_reference(p, v, q)
 
 
-@_given(_darboux)
+@given(_darboux)
 def test_nmap_pairing_property(case):
     dchart, n = case
     N = nmap_space(dchart, n)

@@ -1,18 +1,21 @@
 """Darboux charts, graded brackets, master equations, derived brackets."""
 
+import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from gq import (
-    AlgebroidData, ConjugatePair, DarbouxChart, GradingError, Hamiltonian,
+    AlgebroidData, ConjugatePair, DarbouxChart, GPoly, GradingError, Hamiltonian,
     StructureError, TangentChart, UnsupportedInputError, algebroid_to_q,
     courant_chart, courant_theta, derived_bracket, dorfman_bracket,
     hamiltonian_to_q, lambda_check, left_derivative, master_equation,
     poisson_bracket, poisson_chart, poisson_theta, q_square, q_to_algebroid,
     q_to_hamiltonian, section_decode, section_encode, Derivation,
 )
-from conftest import homogeneous_pieces, random_poly
+from gq.graded_algebra import _derivative
+from conftest import given, homogeneous_pieces, random_poly
 
 
 # -- chart construction and the degree bound ---------------------------------
@@ -107,6 +110,88 @@ def test_bracket_drops_weight_by_n(rng):
                     br = poisson_bracket(dch, f, g)
                     if not br.is_zero():
                         assert br.weight() == f.weight() + g.weight() - n
+
+
+# -- properties of the bracket on generated Darboux charts --------------------
+#
+# Each property runs under hypothesis when it is installed and skips without
+# it. The reference is the pair-by-pair formula the bracket had before it
+# became one sweep over each argument.
+
+
+def _bracket_reference(dchart, f, g):
+    """{f, g} pair by pair: sign * [dR_q f dL_p g - (-1)^(|q||p|) dR_p f dL_q g]."""
+    terms = []
+    for pr in dchart.pairs:
+        odd_pair = pr.q_weight % 2 and pr.p_weight % 2
+        t1 = _derivative(f, pr.q_name, right=True) * left_derivative(g, pr.p_name)
+        t2 = _derivative(f, pr.p_name, right=True) * left_derivative(g, pr.q_name)
+        terms += (t1 * pr.sign, t2 * (pr.sign if odd_pair else -pr.sign))
+    return dchart.chart.sum(terms)
+
+
+def _darboux_polys(count, hamiltonian=False):
+    """A Darboux chart of degree 1-3 with one to three pairs of any weights
+    (so odd x odd and even x even pairs at degree 2) and pair coefficients in
+    {+-1, +-2, 1/2}, and `count` polynomials of one to five terms on it with
+    rational coefficients; with `hamiltonian`, every term has weight n + 1."""
+    def build(st):
+        @st.composite
+        def case(draw):
+            n = draw(st.integers(1, 3))
+            pairs = []
+            for a in range(draw(st.integers(1, 3))):
+                w = draw(st.integers(0, n))
+                sign = draw(st.sampled_from([1, -1, 2, -2, Fraction(1, 2)]))
+                pairs.append((f"q{a}", w, f"p{a}", n - w, sign))
+            dchart = DarbouxChart(n, pairs)
+            weights = dchart.chart.weights
+            keys = list(itertools.product(*(range(2 if w % 2 else 3) for w in weights)))
+            if hamiltonian:
+                keys = [k for k in keys if sum(map(mul, k, weights)) == n + 1]
+            terms = st.dictionaries(st.sampled_from(keys), st.fractions(-3, 3, max_denominator=3),
+                                    min_size=1, max_size=5) if keys else st.just({})
+            polys = [GPoly(dchart.chart, draw(terms)) for _ in range(count)]
+            return dchart, polys
+        return case()
+    return build
+
+
+@given(_darboux_polys(2))
+def test_bracket_matches_reference_property(case):
+    dchart, (f, g) = case
+    got, want = poisson_bracket(dchart, f, g), _bracket_reference(dchart, f, g)
+    assert got == want and str(got) == str(want)
+
+
+@given(_darboux_polys(2))
+def test_bracket_antisymmetry_property(case):
+    dchart, (f0, g0) = case
+    n = dchart.n
+    for f in homogeneous_pieces(f0):
+        for g in homogeneous_pieces(g0):
+            s = -1 if (f.weight() + n) * (g.weight() + n) % 2 else 1
+            assert poisson_bracket(dchart, f, g) == -s * poisson_bracket(dchart, g, f)
+
+
+@given(_darboux_polys(3))
+def test_bracket_jacobi_property(case):
+    dchart, (f0, g0, h) = case
+    n = dchart.n
+    for f in homogeneous_pieces(f0):
+        for g in homogeneous_pieces(g0):
+            s = -1 if (f.weight() + n) * (g.weight() + n) % 2 else 1
+            lhs = poisson_bracket(dchart, f, poisson_bracket(dchart, g, h))
+            rhs = poisson_bracket(dchart, poisson_bracket(dchart, f, g), h) \
+                + s * poisson_bracket(dchart, g, poisson_bracket(dchart, f, h))
+            assert lhs == rhs
+
+
+@given(_darboux_polys(1, hamiltonian=True))
+def test_master_equation_iff_q_square_property(case):
+    dchart, (theta,) = case
+    flat = master_equation(dchart, theta).is_zero()
+    assert flat == q_square(hamiltonian_to_q(dchart, theta)).is_zero()
 
 
 # -- Hamiltonian <-> Q -------------------------------------------------------
