@@ -39,11 +39,13 @@ def _options_from(args) -> Options:
     return Options(steps=args.steps, tolerance=args.tolerance, seed=args.seed)
 
 
-def _run_program(program, options, report_path):
+def _run_program(program, options, report_path, source=None):
+    """Execute and print the report; errors at a line name the `source` file."""
     try:
         report = execute(program, options)
     except (ParseError, SemanticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"{source}:" if source and exc.line is not None else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report_render(report, "text").decode())
     if report_path:
@@ -97,7 +99,7 @@ def main(argv=None) -> int:
             return 2
         options = _options_from(args)
         options.base_dir = path.parent
-        return _run_program(program, options, args.report)
+        return _run_program(program, options, args.report, args.file)
 
     if args.command == "check":
         if args.name not in CHECKS:

@@ -6,15 +6,13 @@ correction, the truncated loop-algebra cocycle, and symmetry pairs (v, alpha).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ChartMismatchError, GradingError, StructureError
 from .forms import TangentChart
-from .graded_algebra import GPoly, _rat, _sum_pairs, substitute
-from .linalg import rank
+from .graded_algebra import GPoly, _divided, _rat, _sum_pairs, substitute
+from .linalg import as_matrix, dot, rank
 from .nq_core import Derivation, commutator
 
 # ---------------------------------------------------------------------------
@@ -92,17 +90,46 @@ def gauge_shift_consistent(T: TwistData, alpha: GPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _bracket(table, u, v):
+    """The bilinear map with basis values table[(i, j)] = {k: c} on dict vectors."""
+    return _sum_pairs((k, ci * cj * ck) for i, ci in u.items() for j, cj in v.items()
+                      for k, ck in table.get((i, j), {}).items())
+
+
+def _jacobi_violation(bracket, degrees):
+    """First 0-based basis triple (a, b, c) violating
+    [a,[b,c]] = [[a,b],c] + (-1)^|a||b| [b,[a,c]]; degrees are the basis degrees."""
+    n = len(degrees)
+    for a in range(n):
+        ea = {a: 1}
+        for b in range(n):
+            eb = {b: 1}
+            sign = -1 if (degrees[a] * degrees[b]) % 2 else 1
+            for c in range(n):
+                ec = {c: 1}
+                lhs = bracket(ea, bracket(eb, ec))
+                rhs = _sum_pairs(itertools.chain(
+                    bracket(bracket(ea, eb), ec).items(),
+                    ((k, sign * v) for k, v in bracket(eb, bracket(ea, ec)).items())))
+                if lhs != rhs:
+                    return (a, b, c)
+    return None
+
+
 class QuadraticLieAlgebra:
     """Structure constants plus an invariant nondegenerate symmetric form.
 
-    c[(k, i, j)]: rational, antisymmetric in (i, j) (entries with i < j
-    determine the rest); ip: symmetric matrix as a nested list/dict.
-    Jacobi and invariance are verified exactly at construction.
+    c[(k, i, j)]: rational c^k_ij in [e_i, e_j] = c^k_ij e_k, 1-based and
+    antisymmetric in (i, j) (entries with i < j determine the rest); ip: the
+    form as a `linalg.Matrix` or nested list of rows. Stored 0-based as
+    brackets[(i, j)] = {k: c} for every nonzero bracket, both orders filled
+    in, and ip as a `Matrix`; vectors are dicts {index: entry}. Jacobi and
+    invariance are verified exactly at construction.
     """
 
     def __init__(self, dim: int, c, ip):
         self.dim = dim
-        self.c = {}
+        self.brackets = {}
         for (k, i, j), val in c.items():
             val = _rat(val)
             if not all(1 <= t <= dim for t in (k, i, j)):
@@ -113,75 +140,43 @@ class QuadraticLieAlgebra:
                 continue
             if val == 0:
                 continue
-            key, v = ((k, i, j), val) if i < j else ((k, j, i), -val)
-            if key in self.c and self.c[key] != v:
-                raise ValueError(f"conflicting structure constants at {key}")
-            self.c[key] = v
-        self.ip = [[_rat(ip[i][j]) for j in range(dim)] for i in range(dim)]
-        for i in range(dim):
-            for j in range(dim):
-                if self.ip[i][j] != self.ip[j][i]:
-                    raise StructureError("inner product must be symmetric")
+            if i > j:
+                i, j, val = j, i, -val
+            if self.brackets.setdefault((i - 1, j - 1), {}).setdefault(k - 1, val) != val:
+                raise ValueError(f"conflicting structure constants at {(k, i, j)}")
+        for (i, j), vec in list(self.brackets.items()):
+            self.brackets[(j, i)] = {k: -x for k, x in vec.items()}
+        self.ip = as_matrix(ip)
+        if self.ip.shape != (dim, dim):
+            raise ValueError(f"inner product must be {dim}x{dim}, got {self.ip.shape}")
+        if self.ip != self.ip.T:
+            raise StructureError("inner product must be symmetric")
         if rank(self.ip) != dim:
             raise StructureError("inner product must be nondegenerate")
-        bad = self._jacobi_violation()
+        bad = _jacobi_violation(self.bracket, [0] * dim)
         if bad is not None:
-            raise StructureError(f"Jacobi identity fails on basis triple {bad}")
+            raise StructureError("Jacobi identity fails on basis triple "
+                                 f"{tuple(t + 1 for t in bad)}")
         bad = self._invariance_violation()
         if bad is not None:
             raise StructureError(f"inner product is not invariant on triple {bad}")
 
-    def structure(self, k: int, i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self.c.get((k, i, j), Fraction(0))
-        return -self.c.get((k, j, i), Fraction(0))
-
-    def bracket_basis(self, i: int, j: int):
-        """[e_i, e_j] as a coefficient vector."""
-        return [self.structure(k, i, j) for k in range(1, self.dim + 1)]
-
-    def inner(self, u, v) -> Fraction:
-        return sum(self.ip[i][j] * u[i] * v[j]
-                   for i in range(self.dim) for j in range(self.dim))
+    def inner(self, u, v):
+        rows = self.ip.rows
+        return sum(x * dot(rows[i], v) for i, x in u.items())
 
     def bracket(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if u[i] == 0:
-                continue
-            for j in range(self.dim):
-                if v[j] == 0:
-                    continue
-                for k in range(self.dim):
-                    out[k] += u[i] * v[j] * self.structure(k + 1, i + 1, j + 1)
-        return out
-
-    def _jacobi_violation(self):
-        d = self.dim
-        for i in range(1, d + 1):
-            for j in range(i + 1, d + 1):
-                for k in range(j + 1, d + 1):
-                    for t in range(1, d + 1):
-                        total = Fraction(0)
-                        for s in range(1, d + 1):
-                            total += self.structure(s, j, k) * self.structure(t, i, s)
-                            total += self.structure(s, k, i) * self.structure(t, j, s)
-                            total += self.structure(s, i, j) * self.structure(t, k, s)
-                        if total != 0:
-                            return (i, j, k)
-        return None
+        return _bracket(self.brackets, u, v)
 
     def _invariance_violation(self):
-        d = self.dim
-        basis = [[Fraction(1) if a == b else Fraction(0) for b in range(d)] for a in range(d)]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = self.inner(self.bracket(basis[i], basis[j]), basis[k])
-                    rhs = self.inner(basis[j], self.bracket(basis[i], basis[k]))
-                    if lhs + rhs != 0:
+        """First 1-based triple with <[e_i, e_j], e_k> + <e_j, [e_i, e_k]> != 0."""
+        rows = self.ip.rows
+        for i in range(self.dim):
+            for j in range(self.dim):
+                bij = self.brackets.get((i, j), {})
+                for k in range(self.dim):
+                    # ip is symmetric, so row k of ip is its column k
+                    if dot(rows[k], bij) + dot(rows[j], self.brackets.get((i, k), {})):
                         return (i + 1, j + 1, k + 1)
         return None
 
@@ -229,39 +224,23 @@ class GradedLieAlgebra:
         return self.degrees[i] % 2
 
     def bracket_vec(self, u, v):
-        return _sum_pairs((k, ci * cj * ck) for i, ci in u.items() for j, cj in v.items()
-                          for k, ck in self.brackets.get((i, j), {}).items())
+        return _bracket(self.brackets, u, v)
 
     def q_vec(self, u):
         return _sum_pairs((k, ci * ck) for i, ci in u.items() for k, ck in self.q.get(i, {}).items())
 
     def jacobi_violation(self):
         """First basis triple violating [a,[b,c]] = [[a,b],c] + (-1)^|a||b| [b,[a,c]]."""
-        n = self.dim()
-        for a in range(n):
-            ea = {a: Fraction(1)}
-            for b in range(n):
-                eb = {b: Fraction(1)}
-                sign = -1 if (self.parity(a) * self.parity(b)) % 2 else 1
-                for c in range(n):
-                    ec = {c: Fraction(1)}
-                    lhs = self.bracket_vec(ea, self.bracket_vec(eb, ec))
-                    rhs = _sum_pairs(itertools.chain(
-                        self.bracket_vec(self.bracket_vec(ea, eb), ec).items(),
-                        ((k, sign * v) for k, v in
-                         self.bracket_vec(eb, self.bracket_vec(ea, ec)).items())))
-                    if lhs != rhs:
-                        return (a, b, c)
-        return None
+        return _jacobi_violation(self.bracket_vec, self.degrees)
 
     def q_derivation_violation(self):
         """First pair violating Q[a,b] = [Qa,b] + (-1)^|a| [a,Qb]."""
         n = self.dim()
         for a in range(n):
-            ea = {a: Fraction(1)}
+            ea = {a: 1}
             sign = -1 if self.parity(a) else 1
             for b in range(n):
-                eb = {b: Fraction(1)}
+                eb = {b: 1}
                 lhs = self.q_vec(self.bracket_vec(ea, eb))
                 rhs = _sum_pairs(itertools.chain(
                     self.bracket_vec(self.q_vec(ea), eb).items(),
@@ -271,7 +250,7 @@ class GradedLieAlgebra:
         return None
 
     def q_square_is_zero(self) -> bool:
-        return all(not self.q_vec(self.q_vec({i: Fraction(1)})) for i in range(self.dim()))
+        return all(not self.q_vec(self.q_vec({i: 1})) for i in range(self.dim()))
 
 
 def central_extension(g: QuadraticLieAlgebra) -> GradedLieAlgebra:
@@ -285,17 +264,15 @@ def central_extension(g: QuadraticLieAlgebra) -> GradedLieAlgebra:
     basis = [(f"u{i}", 0) for i in range(1, d + 1)]
     basis += [(f"v{i}", -1) for i in range(1, d + 1)]
     basis += [("z", -2)]
-    U = lambda i: i - 1
-    V = lambda i: d + i - 1
-    Z = 2 * d
+    # u_i is basis index i, v_i is d + i, z is 2d (all 0-based)
     brackets = {}
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            adj = {U(k): g.structure(k, i, j) for k in range(1, d + 1)}
-            brackets[(U(i), U(j))] = dict(adj)
-            brackets[(U(i), V(j))] = {V(k): g.structure(k, i, j) for k in range(1, d + 1)}
-            brackets[(V(i), V(j))] = {Z: g.ip[i - 1][j - 1]}
-    q = {V(i): {U(i): Fraction(1)} for i in range(1, d + 1)}
+    for (i, j), vec in g.brackets.items():
+        brackets[(i, j)] = vec
+        brackets[(i, d + j)] = {d + k: x for k, x in vec.items()}
+    for i, row in enumerate(g.ip.rows):
+        for j, x in row.items():
+            brackets[(d + i, d + j)] = {2 * d: x}
+    q = {d + i: {i: 1} for i in range(d)}
     return GradedLieAlgebra(basis, brackets, q)
 
 
@@ -306,20 +283,18 @@ def affine_cocycle_check(g: QuadraticLieAlgebra, mode_cutoff: int,
     Basis elements are e_i z^m with |m| <= mode_cutoff. The default cocycle is
     c(u z^m, v z^n) = m delta_{m+n,0} <u, v>; the identity checked is
     c([x,y],z) + c([y,z],x) + c([z,x],y) = 0 over all basis triples.
-    `cocycle(u, m, v, n)` must vanish unless m + n = 0; then every term of the
-    identity on modes (m, n, l) vanishes unless m + n + l = 0, so only the
-    triples with l = -(m + n) are visited.
+    `cocycle(u, m, v, n)` takes dict vectors u, v and must vanish unless
+    m + n = 0; then every term of the identity on modes (m, n, l) vanishes
+    unless m + n + l = 0, so only the triples with l = -(m + n) are visited.
     """
     if mode_cutoff < 1:
         raise ValueError("mode cutoff must be at least 1")
     if cocycle is None:
         def cocycle(u, m, v, n):
-            if m + n != 0:
-                return Fraction(0)
-            return Fraction(m) * g.inner(u, v)
+            return m * g.inner(u, v) if m + n == 0 else 0
 
     d = g.dim
-    basis = [[Fraction(1) if a == b else Fraction(0) for b in range(d)] for a in range(d)]
+    basis = [{a: 1} for a in range(d)]
     modes = range(-mode_cutoff, mode_cutoff + 1)
     for i in range(d):
         for j in range(d):
@@ -343,9 +318,7 @@ def affine_cocycle_check(g: QuadraticLieAlgebra, mode_cutoff: int,
 def broken_cocycle(g: QuadraticLieAlgebra):
     """c'(u z^m, v z^n) = m^2 delta_{m+n,0} <u, v>: fails the cocycle identity."""
     def cocycle(u, m, v, n):
-        if m + n != 0:
-            return Fraction(0)
-        return Fraction(m * m) * g.inner(u, v)
+        return m * m * g.inner(u, v) if m + n == 0 else 0
     return cocycle
 
 
@@ -358,30 +331,23 @@ def cartan_3form(g: QuadraticLieAlgebra) -> GPoly:
     """
     from .sigma_structures import AlgebroidData
 
-    A = AlgebroidData(0, g.dim, {}, {})
-    chart = A.chart
-    d = g.dim
-    basis = [[Fraction(1) if a == b else Fraction(0) for b in range(d)] for a in range(d)]
+    chart = AlgebroidData(0, g.dim, {}, {}).chart
+    xi = [chart.var(f"xi{i}") for i in range(1, g.dim + 1)]
     terms = []
-    sixth = Fraction(1, 6)
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                coeff = g.inner(basis[i], g.bracket(basis[j], basis[k]))
-                if coeff == 0:
-                    continue
-                terms.append(sixth * coeff * chart.var(f"xi{i + 1}")
-                             * chart.var(f"xi{j + 1}") * chart.var(f"xi{k + 1}"))
-    return chart.sum(terms)
+    for (j, k), vec in g.brackets.items():
+        for i, row in enumerate(g.ip.rows):
+            coeff = dot(row, vec)
+            if coeff:
+                terms.append(coeff * xi[i] * xi[j] * xi[k])
+    return _divided(chart.sum(terms), 6)
 
 
 def chevalley_eilenberg_q(g: QuadraticLieAlgebra) -> Derivation:
     """The zero-anchor algebroid differential of g on its shifted chart."""
     from .sigma_structures import AlgebroidData, algebroid_to_q
 
-    c = {(k, i, j): g.structure(k, i, j)
-         for k in range(1, g.dim + 1)
-         for i in range(1, g.dim + 1) for j in range(i + 1, g.dim + 1)}
+    c = {(k + 1, i + 1, j + 1): x for (i, j), vec in g.brackets.items() if i < j
+         for k, x in vec.items()}
     return algebroid_to_q(AlgebroidData(0, g.dim, {}, c))
 
 

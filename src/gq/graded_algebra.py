@@ -218,6 +218,11 @@ def _collect(chart: Chart, pairs) -> "GPoly":
     return p
 
 
+def _divided(p: "GPoly", d: int) -> "GPoly":
+    """p with every coefficient divided by the integer d, an `int` where integral."""
+    return _collect(p.chart, ((k, _rat(Fraction(c, d))) for k, c in p.terms.items()))
+
+
 class GPoly:
     """A supercommutative polynomial in canonical form.
 

@@ -16,7 +16,8 @@ from itertools import chain
 
 from .errors import ChartMismatchError, GradingError, StructureError, UnsupportedInputError
 from .graded_algebra import (
-    Chart, GPoly, GVar, _collect, _partials, _products, _rat, left_derivative,
+    Chart, GPoly, GVar, _collect, _divided, _partials, _products, _rat,
+    left_derivative,
 )
 from .nq_core import Derivation, q_square
 
@@ -203,13 +204,13 @@ def q_to_hamiltonian(dchart: DarbouxChart, Q: Derivation) -> GPoly:
         q, p = dchart.var(pr.q_name), dchart.var(pr.p_name)
         qw, pw = pr.q_weight, pr.p_weight
         # invert Q(p) = sign * dR_q Theta and Q(q) = -sign (-1)^(|q||p|) dR_p Theta
-        sq = Fraction(-1) if (qw % 2) * (n % 2) else Fraction(1)
-        sp = Fraction(-1) if (pw % 2) * (n % 2) else Fraction(1)
-        spar = Fraction(-1) if (qw % 2) * (pw % 2) else Fraction(1)
-        inv = Fraction(1) / pr.sign
-        terms.append(q * Q.component(pr.p_name) * (sq * Fraction(qw) * inv))
-        terms.append(p * Q.component(pr.q_name) * -(sp * spar * Fraction(pw) * inv))
-    theta = dchart.chart.sum(terms) * Fraction(1, n + 1)
+        sq = -1 if (qw % 2) * (n % 2) else 1
+        sp = -1 if (pw % 2) * (n % 2) else 1
+        spar = -1 if (qw % 2) * (pw % 2) else 1
+        inv = _rat(Fraction(1) / pr.sign)
+        terms.append(q * Q.component(pr.p_name) * (sq * qw * inv))
+        terms.append(p * Q.component(pr.q_name) * -(sp * spar * pw * inv))
+    theta = _divided(dchart.chart.sum(terms), n + 1)
     candidate = theta.weight_component(n + 1)
     if candidate != theta:
         raise StructureError("Q is not symplectic: reconstructed Hamiltonian is inhomogeneous")

@@ -299,6 +299,32 @@ def test_cli_dorfman_without_samples_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_cli_semantic_error_names_the_program_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.gq").write_text(
+        "sigma S deg 2 pairs { (x:0, p:2, sign -1); (theta:1, chi:1); }\n"
+        "ham TH on S = theta*p;\ncheck dorfman TH samples 0;")
+    assert cli_main(["run", "s.gq"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: s.gq:3:1: dorfman needs at least 1 sample, got 0\n"
+
+
+def test_cli_check_semantic_error_has_no_file(capsys):
+    code = cli_main(["check", "exp", "G", "-s", "algebra G so3;"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: 2:1: ")
+
+
+def test_cli_conflicting_algebra_constants_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.gq"
+    f.write_text("algebra G dim 2 { c 1 1 2 = 1; c 1 2 1 = 1; ip 1 1 = 1; ip 2 2 = 1; }\n"
+                 "check jacobi G;")
+    assert cli_main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "conflicting structure constants" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_cli_one_shot_check(capsys):
     code = cli_main(["check", "q2", "Q", "-s",
                      "chart X { x:0; xi:1; } qfield Q on X { x -> xi; xi -> 0; }"])

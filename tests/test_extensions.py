@@ -14,6 +14,7 @@ from gq import (
     twisted_q, wzw_cross_term, wzw_descent_residual, wzw_product,
 )
 from gq.extensions import quat_conj, quat_exp, quat_normalize
+from conftest import given
 
 
 # -- twists --------------------------------------------------------------------
@@ -100,6 +101,63 @@ def test_twist_validation():
         TwistData(2, 2, T0.chart.var("t") * T0.tangent.xi(1))  # fiber-dependent
 
 
+# -- dense reference oracle --------------------------------------------------------
+# The dense formulas of a quadratic Lie algebra, kept as an independent
+# reference: 1-based constants (k, i, j) -> c^k_ij, the form as nested lists,
+# vectors as dense lists of Fractions. Built from the literal data below, never
+# from the class under test.
+
+SO3_C = {(3, 1, 2): 1, (1, 2, 3): 1, (2, 3, 1): 1}
+SO3_IP = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+SL2_C = {(2, 1, 2): 2, (3, 1, 3): -2, (1, 2, 3): 1}
+SL2_IP = [[2, 0, 0], [0, 0, 1], [0, 1, 0]]
+# so3 + R: a central e1 with form -1, so3 on e2..e4 (constants offset by one)
+SO3R_C = {(k + 1, i + 1, j + 1): c for (k, i, j), c in SO3_C.items()}
+SO3R_IP = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+
+class DenseOracle:
+    def __init__(self, c, ip):
+        self.dim = len(ip)
+        self.c = {}
+        for (k, i, j), val in c.items():
+            key, val = ((k, i, j), val) if i < j else ((k, j, i), -val)
+            self.c[key] = Fraction(val)
+        self.ip = [[Fraction(x) for x in row] for row in ip]
+
+    def structure(self, k, i, j):
+        if i == j:
+            return Fraction(0)
+        if i < j:
+            return self.c.get((k, i, j), Fraction(0))
+        return -self.c.get((k, j, i), Fraction(0))
+
+    def inner(self, u, v):
+        return sum(self.ip[i][j] * u[i] * v[j]
+                   for i in range(self.dim) for j in range(self.dim))
+
+    def bracket(self, u, v):
+        out = [Fraction(0)] * self.dim
+        for i in range(self.dim):
+            for j in range(self.dim):
+                for k in range(self.dim):
+                    out[k] += u[i] * v[j] * self.structure(k + 1, i + 1, j + 1)
+        return out
+
+
+ORACLES = {"so3": DenseOracle(SO3_C, SO3_IP), "sl2": DenseOracle(SL2_C, SL2_IP),
+           "so3r": DenseOracle(SO3R_C, SO3R_IP)}
+ALGEBRAS = {"so3": so3, "sl2": sl2, "so3r": lambda: QuadraticLieAlgebra(4, SO3R_C, SO3R_IP)}
+
+
+def _dense(u, dim):
+    return [Fraction(u.get(i, 0)) for i in range(dim)]
+
+
+def _sparse(vec):
+    return {i: x for i, x in enumerate(vec) if x}
+
+
 # -- quadratic Lie algebras ------------------------------------------------------
 
 
@@ -120,6 +178,54 @@ def test_invalid_algebras_rejected():
         # non-invariant inner product on so(3)
         QuadraticLieAlgebra(3, {(3, 1, 2): 1, (1, 2, 3): 1, (2, 3, 1): 1},
                             [[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+_EYE2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("c,ip,error,message", [
+    ({(3, 1, 2): 1}, _EYE2, ValueError, "index out of range"),
+    ({(1, 0, 2): 1}, _EYE2, ValueError, "index out of range"),
+    ({(1, 1, 1): 1}, _EYE2, ValueError, "vanish for i == j"),
+    ({(1, 1, 2): 1, (1, 2, 1): 1}, _EYE2, ValueError, "conflicting structure constants"),
+    ({}, [[1, 1], [0, 1]], StructureError, "symmetric"),
+    ({}, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], ValueError, "must be 2x2"),
+], ids=["index-above", "index-zero", "diagonal", "conflict", "non-symmetric", "form-shape"])
+def test_constructor_rejects_bad_data(c, ip, error, message):
+    with pytest.raises(error, match=message):
+        QuadraticLieAlgebra(2, c, ip)
+
+
+def test_constructor_accepts_consistent_mirrored_constants():
+    g = QuadraticLieAlgebra(3, {**SO3_C, (3, 2, 1): -1, (1, 1, 1): 0}, SO3_IP)
+    assert g.brackets == so3().brackets
+    assert all(type(x) is int for vec in g.brackets.values() for x in vec.values())
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_basis_brackets_and_form_match_dense_oracle(name):
+    g, o = ALGEBRAS[name](), ORACLES[name]
+    for i in range(g.dim):
+        for j in range(g.dim):
+            ei, ej = {i: 1}, {j: 1}
+            assert g.bracket(ei, ej) == _sparse(o.bracket(_dense(ei, o.dim), _dense(ej, o.dim)))
+            assert g.brackets.get((i, j), {}) == g.bracket(ei, ej)
+            assert g.inner(ei, ej) == o.ip[i][j]
+    assert g.ip == o.ip
+
+
+def _vector(st):
+    return st.dictionaries(st.integers(0, 3), st.integers(-3, 3), max_size=4)
+
+
+@given(lambda st: st.sampled_from(sorted(ORACLES)), _vector, _vector)
+def test_bracket_and_inner_match_dense_oracle_property(name, u, v):
+    g, o = ALGEBRAS[name](), ORACLES[name]
+    u = {i: x for i, x in u.items() if i < g.dim and x}
+    v = {i: x for i, x in v.items() if i < g.dim and x}
+    du, dv = _dense(u, g.dim), _dense(v, g.dim)
+    assert g.bracket(u, v) == _sparse(o.bracket(du, dv))
+    assert g.inner(u, v) == o.inner(du, dv)
 
 
 def test_cartan_3form_so3():
@@ -151,14 +257,15 @@ def test_central_extension_graded_jacobi(g):
     assert ce.q_square_is_zero()
 
 
-def test_central_extension_bracket_is_inner_product():
-    g = so3()
+@pytest.mark.parametrize("algebra,form", [(so3, SO3_IP), (sl2, SL2_IP)], ids=["so3", "sl2"])
+def test_central_extension_bracket_is_inner_product(algebra, form):
+    g = algebra()
     ce = central_extension(g)
     d = g.dim
     for i in range(d):
         for j in range(d):
-            vec = ce.bracket_vec({d + i: Fraction(1)}, {d + j: Fraction(1)})
-            expected = {2 * d: g.ip[i][j]} if g.ip[i][j] else {}
+            vec = ce.bracket_vec({d + i: 1}, {d + j: 1})
+            expected = {2 * d: form[i][j]} if form[i][j] else {}
             assert vec == expected
 
 
@@ -191,20 +298,20 @@ def test_broken_cocycle_fails():
     assert not affine_cocycle_check(g, 2, broken_cocycle(g))
 
 
-def _full_triple_cocycle_check(g, mode_cutoff, cocycle=None):
-    """Reference: the cocycle identity on every mode triple (m, n, l)."""
-    if cocycle is None:
-        def cocycle(u, m, v, n):
-            return Fraction(m) * g.inner(u, v) if m + n == 0 else Fraction(0)
+def _full_triple_cocycle_check(o, mode_cutoff, power):
+    """Reference: c(u z^m, v z^n) = m^power delta_{m+n,0} <u, v> on the dense
+    oracle `o`, with the cocycle identity checked on every mode triple."""
+    def cocycle(u, m, v, n):
+        return Fraction(m ** power) * o.inner(u, v) if m + n == 0 else Fraction(0)
 
-    basis = [[Fraction(int(a == b)) for b in range(g.dim)] for a in range(g.dim)]
+    basis = [[Fraction(int(a == b)) for b in range(o.dim)] for a in range(o.dim)]
     modes = range(-mode_cutoff, mode_cutoff + 1)
-    for i in range(g.dim):
-        for j in range(g.dim):
-            bij = g.bracket(basis[i], basis[j])
-            for k in range(g.dim):
-                bjk = g.bracket(basis[j], basis[k])
-                bki = g.bracket(basis[k], basis[i])
+    for i in range(o.dim):
+        for j in range(o.dim):
+            bij = o.bracket(basis[i], basis[j])
+            for k in range(o.dim):
+                bjk = o.bracket(basis[j], basis[k])
+                bki = o.bracket(basis[k], basis[i])
                 for m in modes:
                     for n in modes:
                         for l in modes:
@@ -218,10 +325,10 @@ def _full_triple_cocycle_check(g, mode_cutoff, cocycle=None):
 @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
 @pytest.mark.parametrize("algebra", [so3, sl2])
 def test_cocycle_check_matches_full_triple_loop(algebra, cutoff):
-    g = algebra()
-    for cocycle in (None, broken_cocycle(g)):
-        assert (affine_cocycle_check(g, cutoff, cocycle)
-                == _full_triple_cocycle_check(g, cutoff, cocycle))
+    g, o = algebra(), ORACLES[algebra.__name__]
+    assert affine_cocycle_check(g, cutoff) == _full_triple_cocycle_check(o, cutoff, 1)
+    assert (affine_cocycle_check(g, cutoff, broken_cocycle(g))
+            == _full_triple_cocycle_check(o, cutoff, 2))
     assert affine_cocycle_check(g, cutoff)
     assert not affine_cocycle_check(g, cutoff, broken_cocycle(g))
 

@@ -237,6 +237,15 @@ def test_round_trip_uniqueness(rng):
     assert q_to_hamiltonian(cc, hamiltonian_to_q(cc, th)) == th
 
 
+def test_round_trip_keeps_integral_coefficients_int():
+    cc = courant_chart(2)
+    th = courant_theta(cc)
+    back = q_to_hamiltonian(cc, hamiltonian_to_q(cc, th))
+    assert back == th and str(back) == str(th)
+    assert all(type(c) is int for c in th.terms.values())
+    assert all(type(c) is int for c in back.terms.values())
+
+
 def test_non_symplectic_rejected():
     dc = poisson_chart(1)
     bad = Derivation(dc.chart, 1, {"x1": dc.var("x1") * dc.var("p1")})
