@@ -67,7 +67,7 @@ def main(argv=None) -> int:
 
     check = sub.add_parser("check", help="run a single named check")
     check.add_argument("name", help="check name (see `gq checks`)")
-    check.add_argument("args", nargs="*", help="check arguments (bound names)")
+    check.add_argument("args", nargs="*", help="check arguments, in the form `gq checks` lists")
     check.add_argument("-s", "--source", default="",
                        help="DSL statements that set up the bindings")
     check.add_argument("--report", help="write the machine (JSON) report here")
@@ -81,8 +81,9 @@ def main(argv=None) -> int:
 
     if args.command == "checks":
         width = max(len(n) for n in CHECKS)
-        for name in sorted(CHECKS):
-            print(f"{name:<{width}}  {CHECKS[name][2]}")
+        form_width = max(len(entry[1]) for entry in CHECKS.values())
+        for name, (_, form, _, description) in sorted(CHECKS.items()):
+            print(f"{name:<{width}}  {form:<{form_width}}  {description}")
         return 0
 
     if args.command == "run":

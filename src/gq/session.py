@@ -1,9 +1,11 @@
 """Execution of DSL programs: bindings, named checks, and reports.
 
 A session binds names to constructed objects in statement order (the
-semantic pass), then runs checks through a dispatch table. Structural
-failures inside a check become failed records, not crashes; unknown names
-and weight/arity mistakes are semantic errors raised before anything runs.
+semantic pass), binds each check's arguments against its form in the
+dispatch table, then runs the checks. Structural failures inside a check
+become failed records, not crashes; unknown names, weight/arity mistakes
+and malformed check arguments are semantic errors raised before anything
+runs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -335,37 +338,81 @@ class Session:
         self.bind(st.name, "nmap", cx.nmap_space(dchart, st.dim), st.pos)
 
     def _do_CheckStmt(self, st):
-        pass  # checks are validated and run by execute()
+        pass  # checks are bound by analyze() and run by execute()
 
 
 def analyze(program: dsl.Program, options: Options | None = None) -> Session:
-    """The semantic pass: build every binding, validate check references."""
+    """The semantic pass: build every binding, bind every check's arguments."""
     session = Session(options)
     for st in program.statements:
         session.run_statement(st)
     for st in program.statements:
         if isinstance(st, dsl.CheckStmt):
-            _validate_check(session, st)
+            _check_args(session, st)
     return session
 
 
-def _validate_check(session: Session, st: dsl.CheckStmt):
+# one item of a check's argument form: a bracketed optional group, a marker
+# word with its value, or a single word (`N` or a `kind|kind` binding)
+_FORM_ITEM = re.compile(r"\[([^\]]*)\]|(\S+(?: N\.\.\.| NAME\.\.\.| N)?)")
+
+
+def _check_args(session: Session, st: dsl.CheckStmt):
+    """Bind a check's arguments against its form in `CHECKS`.
+
+    `kind|kind` is one bound name of those kinds, `N` an integer >= 1,
+    `word N` an integer >= 1 after a marker word, `word N...` and
+    `word NAME...` one or more remaining tokens as integers >= 0 or as raw
+    names; a bracketed item is optional. Returns the handler's positional
+    values (bound objects, integers) and its options keyed by marker word.
+    """
     if st.check not in CHECKS:
         raise SemanticError(f"unknown check {st.check!r}", *st.pos)
-    for a in st.args:
-        if a in CHECK_MARKERS:
-            break  # later arguments are raw names/numbers, not bindings
-        if a.isdigit() or (a.startswith("-") and a[1:].isdigit()):
+    form = CHECKS[st.check][1]
+
+    def fail(msg):
+        usage = f"{st.check} {form}".rstrip()
+        raise SemanticError(f"{st.check}: {msg} (usage: {usage})", *st.pos)
+
+    def integer(tok, what, least=1):
+        if not re.fullmatch(r"-?\d+", tok):
+            fail(f"{what} must be an integer, got {tok!r}")
+        if int(tok) < least:
+            fail(f"{what} must be at least {least}, got {tok}")
+        return int(tok)
+
+    args, values, marked = list(st.args), [], {}
+    for group, item in _FORM_ITEM.findall(form):
+        head, *value = (group or item).split()
+        if not args or (value and args[0] != head):
+            if group:
+                continue
+            fail(f"missing {item}")
+        if not value:
+            tok = args.pop(0)
+            values.append(integer(tok, "N") if head == "N"
+                          else session.get(tok, *head.split("|"), pos=st.pos))
             continue
-        if session.kind_of(a) is None:
-            raise SemanticError(f"unknown identifier {a!r} in check", *st.pos)
+        args.pop(0)                               # the marker word
+        if not args:
+            fail(f"missing {value[0]} after {head!r}")
+        if value[0] == "N":
+            marked[head] = integer(args.pop(0), head)
+        else:
+            marked[head] = [integer(a, head, 0) for a in args] if value[0] == "N..." else args
+            args = []
+    if args:
+        fail(f"unexpected argument {args[0]!r}")
+    return values, marked
 
 
 def execute(program: dsl.Program, options: Options | None = None,
             session: Session | None = None) -> Report:
-    """Run bindings, then every check in order. A semantic error in a check
-    (such as a binding of the wrong kind) is raised; any other exception in a
-    check becomes that check's `fail` record."""
+    """Run bindings, then every check in order on its bound arguments.
+    Malformed check arguments and bindings of the wrong kind are semantic
+    errors raised by `analyze` before any check runs; a semantic error
+    raised inside a check is raised too, and any other exception in a check
+    becomes that check's `fail` record."""
     options = options or Options()
     if session is None:
         session = analyze(program, options)
@@ -373,10 +420,11 @@ def execute(program: dsl.Program, options: Options | None = None,
     for st in program.statements:
         if not isinstance(st, dsl.CheckStmt):
             continue
-        handler, _, _ = CHECKS[st.check]
+        handler = CHECKS[st.check][0]
+        values, kwargs = _check_args(session, st)
         t0 = time.perf_counter()
         try:
-            verdict, residual, witness = handler(session, st)
+            verdict, residual, witness = handler(session, st, *values, **kwargs)
         except SemanticError:
             raise
         except GqError as exc:
@@ -396,31 +444,25 @@ def run_source(source: str, options: Options | None = None) -> Report:
 # Check implementations
 # ---------------------------------------------------------------------------
 
-CHECK_MARKERS = {"constraints", "modes", "dims", "samples", "deg", "lambda"}
-
-
 def _ok(cond, witness_fail=None, residual=None, witness_pass=None):
     if cond:
         return "pass", residual, witness_pass
     return "fail", residual, witness_fail
 
 
-def _q_of(session, name, pos):
-    kind = session.kind_of(name)
-    if kind == "qfield":
-        return session.get(name, "qfield", pos=pos)
-    if kind == "algebroid":
-        return sig.algebroid_to_q(session.get(name, pos=pos))
-    if kind == "twist":
-        return ext.twisted_q(session.get(name, pos=pos))
-    if kind == "ham":
-        h = session.get(name, pos=pos)
-        return sig.hamiltonian_to_q(h.dchart, h)
-    raise SemanticError(f"{name!r} does not define a Q-field", *pos)
+def _q_of(value):
+    """The Q-field of a qfield, algebroid, twist or ham binding."""
+    if isinstance(value, sig.AlgebroidData):
+        return sig.algebroid_to_q(value)
+    if isinstance(value, ext.TwistData):
+        return ext.twisted_q(value)
+    if isinstance(value, sig.Hamiltonian):
+        return sig.hamiltonian_to_q(value.dchart, value)
+    return value
 
 
-def check_q2(session, st):
-    Q = _q_of(session, st.args[0], st.pos)
+def check_q2(session, st, value):
+    Q = _q_of(value)
     sq = q_square(Q)
     if sq.is_zero():
         return "pass", None, None
@@ -428,14 +470,12 @@ def check_q2(session, st):
     return "fail", None, f"Q^2({bad}) = {sq.component(bad)}"
 
 
-def check_master(session, st):
-    h = session.get(st.args[0], "ham", pos=st.pos)
+def check_master(session, st, h):
     me = sig.master_equation(h.dchart, h)
     return _ok(me.is_zero(), witness_fail=f"{{Theta,Theta}} = {me}")
 
 
-def check_jacobi(session, st):
-    g = session.get(st.args[0], "algebra", pos=st.pos)
+def check_jacobi(session, st, g):
     ce = ext.central_extension(g)
     bad = ce.jacobi_violation()
     if bad is not None:
@@ -446,37 +486,30 @@ def check_jacobi(session, st):
     return _ok(ce.q_square_is_zero(), witness_fail="Q^2 != 0 on the extension")
 
 
-def check_cartan(session, st):
-    g = session.get(st.args[0], "algebra", pos=st.pos)
+def check_cartan(session, st, g):
     eta = ext.cartan_3form(g)
     closed = ext.chevalley_eilenberg_q(g)(eta)
     return _ok(closed.is_zero(), witness_fail=f"Q_CE(eta) = {closed}",
                witness_pass=f"eta = {eta}")
 
 
-def check_dirac(session, st):
-    h = session.get(st.args[0], "ham", pos=st.pos)
-    args = list(st.args[1:])
-    if args and args[0] == "constraints":
-        args = args[1:]
+def check_dirac(session, st, h, constraints):
     Q = sig.hamiltonian_to_q(h.dchart, h)
-    good = sig.lambda_check(h.dchart, Q, args)
+    good = sig.lambda_check(h.dchart, Q, constraints)
     return _ok(good, witness_fail="locus is not a Lagrangian Q-invariant submanifold")
 
 
-def check_lemma1(session, st):
-    val = session.get(st.args[0], "complex", pos=st.pos)
+def check_lemma1(session, st, val, deg):
+    if deg not in (1, 2, 3):
+        raise SemanticError(f"lemma1: deg must be 1, 2 or 3, got {deg}", *st.pos)
     base = val.total.complex if isinstance(val, cx.RelativeComplex) else val
     if isinstance(base, cx.SymplecticComplex):
         base = base.complex
-    n = int(st.args[2]) if len(st.args) > 2 and st.args[1] == "deg" else int(st.args[-1])
-    rep = cx.suspension_check(base, n)
-    wit = f"H(base) = {rep.base_betti}, H(tensor) = {rep.tensor_betti}"
-    return rep.verdict, None, wit if rep.verdict == "pass" else wit
+    rep = cx.suspension_check(base, deg)
+    return rep.verdict, None, f"H(base) = {rep.base_betti}, H(tensor) = {rep.tensor_betti}"
 
 
-def check_lemma3(session, st):
-    val = session.get(st.args[0], "complex", pos=st.pos)
+def check_lemma3(session, st, val):
     R = val if isinstance(val, cx.RelativeComplex) else cx.closed_relative(_as_symplectic(val, st))
     rep = cx.lemma3_orthogonality(R)
     wit = (f"mode={rep.mode} equality={rep.equality} quotient={rep.quotient_dims} "
@@ -490,8 +523,7 @@ def _as_symplectic(val, st):
     raise SemanticError("this check needs a complex with a pairing", *st.pos)
 
 
-def check_stokes(session, st):
-    val = session.get(st.args[0], "complex", pos=st.pos)
+def check_stokes(session, st, val):
     if isinstance(val, cx.RelativeComplex):
         bad = val.stokes_violation()
         return _ok(bad is None, witness_fail=f"Stokes fails at degree {bad}")
@@ -500,8 +532,7 @@ def check_stokes(session, st):
     return _ok(bad is None, witness_fail=f"compatibility fails at degree {bad}")
 
 
-def check_boundary_lagrangian(session, st):
-    val = session.get(st.args[0], "complex", pos=st.pos)
+def check_boundary_lagrangian(session, st, val):
     if not isinstance(val, cx.RelativeComplex):
         raise SemanticError("boundary-lagrangian needs a relative complex", *st.pos)
     rep = cx.boundary_lagrangian(val)
@@ -509,13 +540,7 @@ def check_boundary_lagrangian(session, st):
     return rep.verdict, None, wit
 
 
-def check_cocycle(session, st):
-    g = session.get(st.args[0], "algebra", pos=st.pos)
-    modes = 4
-    if len(st.args) > 2 and st.args[1] == "modes":
-        modes = int(st.args[2])
-    elif len(st.args) == 2:
-        modes = int(st.args[1])
+def check_cocycle(session, st, g, modes=4):
     good = ext.affine_cocycle_check(g, modes)
     broken_fails = not ext.affine_cocycle_check(g, modes, ext.broken_cocycle(g))
     if good and broken_fails:
@@ -524,9 +549,7 @@ def check_cocycle(session, st):
                           else "broken cocycle was not rejected")
 
 
-def check_holonomy(session, st):
-    p = session.get(st.args[0], "path", pos=st.pos)
-    q = session.get(st.args[1], "path", pos=st.pos)
+def check_holonomy(session, st, p, q):
     steps = session.options.steps
     g = ap.integrate(ap.concatenate(p, q), steps).holonomy
     sep = ap.integrate(p, steps).holonomy @ ap.integrate(q, steps).holonomy
@@ -535,8 +558,7 @@ def check_holonomy(session, st):
                witness_fail="concatenation law residual above tolerance")
 
 
-def check_reparam(session, st):
-    p = session.get(st.args[0], "path", pos=st.pos)
+def check_reparam(session, st, p):
     s = np.linspace(0.0, 1.0, max(len(p.times), 4001))
     phi = np.stack([s, s * s * (3 - 2 * s)], axis=1)   # smooth, monotone, fixed ends
     res = ap.reparametrize_check(p, phi, session.options.steps)
@@ -544,10 +566,9 @@ def check_reparam(session, st):
                witness_fail="reparametrization residual above tolerance")
 
 
-def check_exp(session, st):
+def check_exp(session, st, p):
     from scipy.linalg import expm
 
-    p = session.get(st.args[0], "path", pos=st.pos)
     if float(np.max(np.abs(p.mats - p.mats[0]))) > 0:
         return "fail", None, "exp check needs a constant path"
     g = ap.integrate(p, session.options.steps).holonomy
@@ -556,8 +577,7 @@ def check_exp(session, st):
                witness_fail="holonomy differs from the exponential")
 
 
-def check_action(session, st):
-    p = session.get(st.args[0], "path", pos=st.pos)
+def check_action(session, st, p):
     el = ap.action_integrate(p, session.options.steps,
                              transport_tol=session.options.tolerance)
     res = float(np.max(np.abs(el.target - p.base[-1])))
@@ -565,25 +585,21 @@ def check_action(session, st):
                witness_fail="group transport misses the recorded endpoint")
 
 
-def check_euler(session, st):
-    Q = _q_of(session, st.args[0], st.pos)
+def check_euler(session, st, value):
+    Q = _q_of(value)
     E = euler_field(Q.chart)
     match = commutator(E, Q) == Q * Fraction(Q.degree)
     return _ok(match, witness_fail="[E, D] != deg(D) D")
 
 
-def check_scaling(session, st):
-    name = st.args[0]
-    lam = Fraction(st.args[1]) if len(st.args) > 1 else Fraction(2)
-    kind = session.kind_of(name)
-    if kind == "ham":
-        poly = session.get(name, pos=st.pos).theta
-    elif kind == "twist":
-        poly = session.get(name, pos=st.pos).eta
-    elif kind == "form":
-        poly = session.get(name, pos=st.pos)[1]
+def check_scaling(session, st, value, lam=2):
+    if isinstance(value, sig.Hamiltonian):
+        poly = value.theta
+    elif isinstance(value, ext.TwistData):
+        poly = value.eta
     else:
-        raise SemanticError(f"{name!r} has no scaling check", *st.pos)
+        poly = value[1]                           # a form binding: (target, poly)
+    lam = Fraction(lam)
     if poly.is_zero():
         return "pass", None, "zero polynomial"
     comp = poly.weight_decomposition()
@@ -592,15 +608,13 @@ def check_scaling(session, st):
                witness_pass=f"weights {sorted(comp)}")
 
 
-def check_hamround(session, st):
-    h = session.get(st.args[0], "ham", pos=st.pos)
+def check_hamround(session, st, h):
     Q = sig.hamiltonian_to_q(h.dchart, h)
     back = sig.q_to_hamiltonian(h.dchart, Q)
     return _ok(back == h.theta, witness_fail=f"round trip gave {back}")
 
 
-def check_alground(session, st):
-    A = session.get(st.args[0], "algebroid", pos=st.pos)
+def check_alground(session, st, A):
     back = sig.q_to_algebroid(sig.algebroid_to_q(A))
     return _ok(back == A, witness_fail="anchor/structure functions changed")
 
@@ -639,8 +653,7 @@ def _schouten_jacobiator(h, pi):
     return out
 
 
-def check_poisson(session, st):
-    h = session.get(st.args[0], "ham", pos=st.pos)
+def check_poisson(session, st, h):
     if h.dchart.n != 1:
         raise SemanticError("poisson check needs a degree-1 chart", *st.pos)
     pi = _bivector_of(h)
@@ -692,16 +705,10 @@ def _transport(poly, chart, index):
     return chart.sum(terms)
 
 
-def check_dorfman(session, st):
-    h = session.get(st.args[0], "ham", pos=st.pos)
+def check_dorfman(session, st, h, samples=20):
     dchart = h.dchart
     xnames = _courant_base(dchart, st.pos)
     m = len(xnames)
-    samples = 20
-    if len(st.args) > 2 and st.args[1] == "samples":
-        samples = int(st.args[2])
-        if samples < 1:
-            raise SemanticError(f"dorfman needs at least 1 sample, got {samples}", *st.pos)
     tc = TangentChart(m)
     rng = session.rng
     # the base coordinates go to x1..xm, the first m coordinates of tc
@@ -733,8 +740,7 @@ def check_dorfman(session, st):
     return "pass", None, f"{samples} random sections agree exactly"
 
 
-def check_pairing(session, st):
-    dchart = session.get(st.args[0], "sigma", pos=st.pos)
+def check_pairing(session, st, dchart):
     xnames = _courant_base(dchart, st.pos)
     m = len(xnames)
     rng = session.rng
@@ -750,8 +756,7 @@ def check_pairing(session, st):
     return "pass", None, None
 
 
-def check_iota(session, st):
-    sp = session.get(st.args[0], "pair", pos=st.pos)
+def check_iota(session, st, sp):
     self_bracket_zero = ext.iota_self_bracket(sp).is_zero()
     contraction = sp.tangent.iota(sp.v, sp.alpha)
     agrees = self_bracket_zero == contraction.is_zero()
@@ -760,9 +765,7 @@ def check_iota(session, st):
                witness_pass=wit)
 
 
-def check_pairbracket(session, st):
-    s1 = session.get(st.args[0], "pair", pos=st.pos)
-    s2 = session.get(st.args[1], "pair", pos=st.pos)
+def check_pairbracket(session, st, s1, s2):
     br = ext.symmetry_bracket(s1, s2)
     Q = ext.twisted_q(s1.twist)
     i1, i2 = ext.iota_encode(s1), ext.iota_encode(s2)
@@ -778,10 +781,7 @@ def check_pairbracket(session, st):
     return "pass", None, None
 
 
-def check_leibniz(session, st):
-    s1 = session.get(st.args[0], "pair", pos=st.pos)
-    s2 = session.get(st.args[1], "pair", pos=st.pos)
-    s3 = session.get(st.args[2], "pair", pos=st.pos)
+def check_leibniz(session, st, s1, s2, s3):
     lhs = ext.symmetry_bracket(s1, ext.symmetry_bracket(s2, s3))
     r1 = ext.symmetry_bracket(ext.symmetry_bracket(s1, s2), s3)
     r2 = ext.symmetry_bracket(s2, ext.symmetry_bracket(s1, s3))
@@ -790,9 +790,7 @@ def check_leibniz(session, st):
     return _ok(good, witness_fail="left Leibniz identity fails")
 
 
-def check_skewwitness(session, st):
-    s1 = session.get(st.args[0], "pair", pos=st.pos)
-    s2 = session.get(st.args[1], "pair", pos=st.pos)
+def check_skewwitness(session, st, s1, s2):
     b12 = ext.symmetry_bracket(s1, s2)
     b21 = ext.symmetry_bracket(s2, s1)
     skew = (b12.v == [-c for c in b21.v]) and b12.alpha == -b21.alpha
@@ -817,22 +815,17 @@ def check_degbound(session, st):
     return "pass", None, f"{len(cases)} out-of-range charts rejected"
 
 
-def check_moduli(session, st):
-    val = session.get(st.args[0], "complex", pos=st.pos)
+def check_moduli(session, st, val, dims=None):
     S = val.total if isinstance(val, cx.RelativeComplex) else _as_symplectic(val, st)
     rep = cx.cohomology_pairing(S)
-    expected = None
-    if len(st.args) > 1 and st.args[1] == "dims":
-        expected = [int(a) for a in st.args[2:]]
-    dims = [rep.dims.get(k, 0) for k in sorted(rep.dims)]
-    if expected is not None and dims != expected:
-        return "fail", None, f"H dims {dims}, expected {expected}"
-    return _ok(rep.nondegenerate, witness_fail=f"induced pairing degenerate; H dims {dims}",
-               witness_pass=f"H dims {dims}, induced pairing nondegenerate")
+    got = [rep.dims.get(k, 0) for k in sorted(rep.dims)]
+    if dims is not None and got != dims:
+        return "fail", None, f"H dims {got}, expected {dims}"
+    return _ok(rep.nondegenerate, witness_fail=f"induced pairing degenerate; H dims {got}",
+               witness_pass=f"H dims {got}, induced pairing nondegenerate")
 
 
-def check_nmap(session, st):
-    N = session.get(st.args[0], "nmap", pos=st.pos)
+def check_nmap(session, st, N):
     n = N.source_dim
     for name, w, d in N.components:
         expected = math.comb(n, w) if 0 <= w <= n else 0
@@ -842,9 +835,7 @@ def check_nmap(session, st):
                witness_pass=f"total dim {N.total_dim}")
 
 
-def check_wzw(session, st):
-    a = session.get(st.args[0], "grid", pos=st.pos)
-    b = session.get(st.args[1], "grid", pos=st.pos)
+def check_wzw(session, st, a, b):
     prod = ext.wzw_product(a, b)
     n1, n2 = a.nodes_shape
     ident = ext.GridMap.identity(n1 - 1, n2 - 1)
@@ -861,9 +852,8 @@ def check_wzw(session, st):
                witness_pass="unit and inverse laws hold")
 
 
-def check_gauge(session, st):
-    tw = session.get(st.args[0], "twist", pos=st.pos)
-    _, alpha = session.get(st.args[1], "form", pos=st.pos)
+def check_gauge(session, st, tw, form):
+    _, alpha = form
     shifted = ext.gauge_change(tw, alpha)
     d_preserved = tw.tangent.d(shifted.eta) == tw.tangent.d(tw.eta)
     conjugate = ext.gauge_shift_consistent(tw, alpha)
@@ -872,67 +862,74 @@ def check_gauge(session, st):
                witness_pass=f"eta' = {shifted.eta}")
 
 
+# name -> (handler, argument form, operations exercised, description); the
+# form is the grammar `_check_args` binds the check's arguments against
 CHECKS = {
-    "q2": (check_q2, ["q_square", "apply", "algebroid_to_q", "twisted_q"],
+    "q2": (check_q2, "qfield|algebroid|twist|ham",
+           ["q_square", "apply", "algebroid_to_q", "twisted_q"],
            "Q^2 = 0 for a Q-field, algebroid, or twist"),
-    "master": (check_master, ["master_equation", "poisson_bracket"],
+    "master": (check_master, "ham", ["master_equation", "poisson_bracket"],
                "{Theta, Theta} = 0"),
-    "jacobi": (check_jacobi, ["central_extension"],
+    "jacobi": (check_jacobi, "algebra", ["central_extension"],
                "graded Jacobi + Q derivation on the central extension"),
-    "cartan": (check_cartan, ["cartan_3form"],
+    "cartan": (check_cartan, "algebra", ["cartan_3form"],
                "Cartan 3-form is Chevalley-Eilenberg closed"),
-    "dirac": (check_dirac, ["lambda_check", "hamiltonian_to_q"],
+    "dirac": (check_dirac, "ham constraints NAME...", ["lambda_check", "hamiltonian_to_q"],
               "constraint locus is a Lagrangian Q-invariant submanifold"),
-    "lemma1": (check_lemma1, ["suspension_check"],
+    "lemma1": (check_lemma1, "complex deg N", ["suspension_check"],
                "relative ball tensor shifts cohomology by n"),
-    "lemma3": (check_lemma3, ["lemma3_orthogonality", "cohomology"],
+    "lemma3": (check_lemma3, "complex", ["lemma3_orthogonality", "cohomology"],
                "cocycles vs orthogonal complement of relative coboundaries"),
-    "stokes": (check_stokes, ["lattice_model"],
+    "stokes": (check_stokes, "complex", ["lattice_model"],
                "boundary pairing of restrictions equals the d-pairing combination"),
-    "boundary-lagrangian": (check_boundary_lagrangian,
+    "boundary-lagrangian": (check_boundary_lagrangian, "complex",
                             ["boundary_lagrangian", "cohomology_pairing"],
                             "image of H(total) in H(boundary) is Lagrangian"),
-    "cocycle": (check_cocycle, ["affine_cocycle_check"],
+    "cocycle": (check_cocycle, "algebra [modes N]", ["affine_cocycle_check"],
                 "loop-algebra 2-cocycle identity at mode cutoff"),
-    "holonomy": (check_holonomy, ["integrate", "concatenate"],
+    "holonomy": (check_holonomy, "path path", ["integrate", "concatenate"],
                  "holonomy of a concatenation is the product of holonomies"),
-    "reparam": (check_reparam, ["reparametrize_check"],
+    "reparam": (check_reparam, "path", ["reparametrize_check"],
                 "holonomy is reparametrization invariant"),
-    "exp": (check_exp, ["integrate"],
+    "exp": (check_exp, "path", ["integrate"],
             "constant-path holonomy matches the matrix exponential"),
-    "action": (check_action, ["action_integrate"],
+    "action": (check_action, "path", ["action_integrate"],
                "base transport matches group transport"),
-    "euler": (check_euler, ["euler_field", "commutator", "manifold_degree"],
+    "euler": (check_euler, "qfield|algebroid|twist|ham",
+              ["euler_field", "commutator", "manifold_degree"],
               "[E, D] = deg(D) D"),
-    "scaling": (check_scaling, ["scaling_check", "weight_of", "multiply", "left_derivative"],
+    "scaling": (check_scaling, "ham|twist|form [N]",
+                ["scaling_check", "weight_of", "multiply", "left_derivative"],
                 "f(lambda . x) = lambda^deg f(x) on homogeneous components"),
-    "hamround": (check_hamround, ["q_to_hamiltonian", "hamiltonian_to_q"],
+    "hamround": (check_hamround, "ham", ["q_to_hamiltonian", "hamiltonian_to_q"],
                  "Hamiltonian <-> Q round trip"),
-    "alground": (check_alground, ["q_to_algebroid", "algebroid_to_q"],
+    "alground": (check_alground, "algebroid", ["q_to_algebroid", "algebroid_to_q"],
                  "algebroid <-> Q round trip"),
-    "poisson": (check_poisson, ["derived_bracket", "master_equation"],
+    "poisson": (check_poisson, "ham", ["derived_bracket", "master_equation"],
                 "derived bracket reproduces the bivector; master = Schouten oracle"),
-    "dorfman": (check_dorfman, ["derived_bracket"],
+    "dorfman": (check_dorfman, "ham [samples N]", ["derived_bracket"],
                 "derived bracket equals the Dorfman bracket on sections"),
-    "pairing": (check_pairing, ["poisson_bracket"],
+    "pairing": (check_pairing, "sigma", ["poisson_bracket"],
                 "section bracket is the tangent-plus-cotangent pairing"),
-    "iota": (check_iota, ["iota_encode"],
+    "iota": (check_iota, "pair", ["iota_encode"],
              "[iota, iota] = 0 iff the contraction vanishes"),
-    "pairbracket": (check_pairbracket, ["symmetry_bracket", "iota_encode", "commutator"],
+    "pairbracket": (check_pairbracket, "pair pair",
+                    ["symmetry_bracket", "iota_encode", "commutator"],
                     "symmetry bracket matches [[Q, iota1], iota2]"),
-    "leibniz": (check_leibniz, ["symmetry_bracket"],
+    "leibniz": (check_leibniz, "pair pair pair", ["symmetry_bracket"],
                 "left Leibniz identity for symmetry pairs"),
-    "skewwitness": (check_skewwitness, ["symmetry_bracket"],
+    "skewwitness": (check_skewwitness, "pair pair", ["symmetry_bracket"],
                     "records a non-skew witness pair"),
-    "degbound": (check_degbound, ["manifold_degree"],
+    "degbound": (check_degbound, "", ["manifold_degree"],
                  "Darboux charts reject weights outside [0, n]"),
-    "moduli": (check_moduli, ["cohomology_pairing", "lattice_model", "cohomology"],
+    "moduli": (check_moduli, "complex [dims N...]",
+               ["cohomology_pairing", "lattice_model", "cohomology"],
                "cohomology dimensions and induced pairing of a lattice model"),
-    "nmap": (check_nmap, ["nmap_space"],
+    "nmap": (check_nmap, "nmap", ["nmap_space"],
              "component dimensions are binomial and the pairing is symplectic"),
-    "wzw": (check_wzw, ["wzw_product"],
+    "wzw": (check_wzw, "grid grid", ["wzw_product"],
             "grid product: unit and inverse laws for the corrected 2-form"),
-    "gauge": (check_gauge, ["gauge_change", "twisted_q"],
+    "gauge": (check_gauge, "twist form", ["gauge_change", "twisted_q"],
               "gauge change shifts eta by d alpha and conjugates Q"),
 }
 

@@ -366,13 +366,6 @@ class AlgebroidData:
     def anchor(self, a: int, i: int) -> GPoly:
         return self.rho.get((a, i), self.chart.zero())
 
-    def structure(self, k: int, i: int, j: int) -> GPoly:
-        if i == j:
-            return self.chart.zero()
-        if i < j:
-            return self.c.get((k, i, j), self.chart.zero())
-        return -self.c.get((k, j, i), self.chart.zero())
-
     def __eq__(self, other):
         return (isinstance(other, AlgebroidData)
                 and self.base_dim == other.base_dim

@@ -1,6 +1,9 @@
 """Parser, session execution, reports, CLI, and dispatch coverage."""
 
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +298,7 @@ def test_cli_dorfman_without_samples_exits_2(tmp_path, capsys):
                  "ham TH on S = theta*p;\ncheck dorfman TH samples 0;")
     assert cli_main(["run", str(f)]) == 2
     err = capsys.readouterr().err
-    assert "3:1: dorfman needs at least 1 sample, got 0" in err
+    assert "3:1: dorfman: samples must be at least 1, got 0 (usage: dorfman ham [samples N])" in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -306,7 +309,8 @@ def test_cli_semantic_error_names_the_program_file(tmp_path, capsys, monkeypatch
         "ham TH on S = theta*p;\ncheck dorfman TH samples 0;")
     assert cli_main(["run", "s.gq"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: s.gq:3:1: dorfman needs at least 1 sample, got 0\n"
+    assert err == ("error: s.gq:3:1: dorfman: samples must be at least 1, got 0 "
+                   "(usage: dorfman ham [samples N])\n")
 
 
 def test_cli_check_semantic_error_has_no_file(capsys):
@@ -373,7 +377,7 @@ CANONICAL_OPS = {
 
 def test_every_operation_reachable_from_dispatch_table():
     covered = set()
-    for _, ops, _ in CHECKS.values():
+    for _, _, ops, _ in CHECKS.values():
         covered |= set(ops)
     missing = CANONICAL_OPS - covered
     assert not missing, f"operations with no DSL route: {missing}"
@@ -397,3 +401,156 @@ def test_suite_exercises_every_check():
     optional = {"exp", "action"}  # exercised too; keep assertion strict anyway
     missing = set(CHECKS) - used
     assert not missing, f"suite never runs: {missing}"
+
+
+# -- check-argument grammar -------------------------------------------------------
+
+DATA = SUITE / "data"
+
+# one binding of every kind a check form names, one statement per line
+BINDINGS = f"""chart X {{ x:0; xi:1; }}
+qfield Q on X {{ xi -> 0; x -> xi; }}
+sigma S deg 2 pairs {{ (x:0, p:2, sign -1); (theta:1, chi:1); }}
+ham TH on S = theta*p;
+sigma S1 deg 1 pairs {{ (y1:0, q1:1); (y2:0, q2:1); }}
+ham H1 on S1 = y1*q1*q2;
+algebroid A base 1 fiber 2 {{ rho 1 1 = 1; c 2 1 2 = x1; }}
+algebra G so3;
+twist T base 2 deg 1 = 0;
+form F on T = x1*xi2;
+pair P base 2 deg 2 {{ v 1 = x2; alpha = x1*xi2; }}
+complex K torus 3 3 fiber G;
+complex CY cylinder 3 1 fiber G;
+nmap N on S;
+load path PA "{DATA / 'path_a.apath'}";
+load path ACT "{DATA / 'action_so3.apath'}";
+load grid GA "{DATA / 'grid_a.grid'}";
+"""
+CHECK_LINE = BINDINGS.count("\n") + 1
+
+# a call of every check that binds, in the form `gq checks` lists
+CANONICAL = {
+    "q2": "Q", "master": "TH", "jacobi": "G", "cartan": "G",
+    "dirac": "TH constraints chi p", "lemma1": "K deg 1", "lemma3": "K", "stokes": "K",
+    "boundary-lagrangian": "CY", "cocycle": "G modes 2", "holonomy": "PA PA",
+    "reparam": "PA", "exp": "PA", "action": "ACT", "euler": "Q", "scaling": "TH 3",
+    "hamround": "TH", "alground": "A", "poisson": "H1", "dorfman": "TH samples 2",
+    "pairing": "S", "iota": "P", "pairbracket": "P P", "leibniz": "P P P",
+    "skewwitness": "P P", "degbound": "", "moduli": "K dims 3 6 3", "nmap": "N",
+    "wzw": "GA GA", "gauge": "T F",
+}
+
+
+def _run_check(tmp_path, capsys, call):
+    """`gq run` on BINDINGS plus `check CALL;`; returns (exit code, stderr)."""
+    f = tmp_path / "p.gq"
+    f.write_text(f"{BINDINGS}check {call};\n")
+    code = cli_main(["run", str(f), "--steps", "50"])
+    return code, capsys.readouterr().err
+
+
+def _assert_one_error_line(code, err, where):
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "Traceback" not in err, err
+    assert lines[0].startswith(f"error: {where}:{CHECK_LINE}:1: "), lines[0]
+
+
+def test_canonical_table_covers_every_check():
+    assert set(CANONICAL) == set(CHECKS)
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_canonical_check_call_binds(name):
+    prog = dsl.parse(f"{BINDINGS}check {name} {CANONICAL[name]};")
+    rep = execute(prog, Options(steps=50))
+    # the handler took the bound values: no TypeError or other error record
+    assert not (rep.records[0].witness or "").startswith("error:")
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_stray_check_argument_exits_2(tmp_path, capsys, name):
+    args = CANONICAL[name]
+    # `NAME...` takes every trailing token, so dirac's stray goes before it
+    call = (f"{name} TH G constraints chi p" if name == "dirac"
+            else f"{name} {args} G")
+    code, err = _run_check(tmp_path, capsys, call)
+    _assert_one_error_line(code, err, tmp_path / "p.gq")
+
+
+@pytest.mark.parametrize("name", sorted(set(CHECKS) - {"degbound"}))
+def test_dropped_check_argument_exits_2(tmp_path, capsys, name):
+    call = f"{name} {' '.join(CANONICAL[name].split()[1:])}"    # without the first
+    code, err = _run_check(tmp_path, capsys, call)
+    _assert_one_error_line(code, err, tmp_path / "p.gq")
+
+
+@pytest.mark.parametrize("call,message", [
+    ("cocycle G 3 4 5", "cocycle: unexpected argument '3'"),
+    ("cocycle G 3", "cocycle: unexpected argument '3'"),
+    ("dorfman TH 5", "dorfman: unexpected argument '5'"),
+    ("moduli K 3 3", "moduli: unexpected argument '3'"),
+    ("jacobi G G G", "jacobi: unexpected argument 'G'"),
+    ("jacobi", "jacobi: missing algebra"),
+    ("cocycle G modes x", "cocycle: modes must be an integer, got 'x'"),
+    ("cocycle G modes 0", "cocycle: modes must be at least 1, got 0"),
+    ("lemma1 K", "lemma1: missing deg N"),
+    ("lemma1 K 2", "lemma1: missing deg N"),
+    ("lemma1 K deg 7", "lemma1: deg must be 1, 2 or 3, got 7"),
+    ("lemma1 K deg", "lemma1: missing N after 'deg'"),
+    ("dirac TH constraints", "dirac: missing NAME... after 'constraints'"),
+    ("dirac TH chi p", "dirac: missing constraints NAME..."),
+    ("moduli K dims 3 x", "moduli: dims must be an integer, got 'x'"),
+    ("scaling TH 0", "scaling: N must be at least 1, got 0"),
+    ("q2 G", "'G' is a algebra, expected qfield or algebroid or twist or ham"),
+    ("degbound 1", "degbound: unexpected argument '1'"),
+])
+def test_malformed_check_arguments_exit_2(tmp_path, capsys, call, message):
+    code, err = _run_check(tmp_path, capsys, call)
+    _assert_one_error_line(code, err, tmp_path / "p.gq")
+    assert message in err
+
+
+def test_malformed_check_stops_before_any_check_runs(tmp_path, capsys):
+    code, err = _run_check(tmp_path, capsys, "q2 Q; check jacobi G G")
+    assert code == 2 and "jacobi: unexpected argument 'G'" in err
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_checks_lists_each_form(capsys):
+    assert cli_main(["checks"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(CHECKS)
+    for line, name in zip(lines, sorted(CHECKS)):
+        _, form, _, description = CHECKS[name]
+        pattern = rf"{re.escape(name)} +{re.escape(form)} +{re.escape(description)}"
+        assert re.fullmatch(pattern, line), line
+
+
+def test_check_arguments_fuzz(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tokens = st.one_of(
+        st.sampled_from(["Q", "TH", "H1", "A", "G", "T", "F", "P", "K", "CY", "N", "S",
+                         "PA", "ACT", "GA", "chi", "p", "modes", "samples", "deg",
+                         "dims", "constraints"]),
+        st.integers(0, 5).map(str))
+    f = tmp_path_factory.mktemp("fuzz") / "p.gq"
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(name=st.sampled_from(sorted(CHECKS)),
+                      args=st.lists(tokens, max_size=5))
+    def run(name, args):
+        f.write_text(f"{BINDINGS}check {name} {' '.join(args)};\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["run", str(f), "--steps", "50"])
+        assert code in (0, 1, 2)
+        # a malformed argument is never a Python error inside a check
+        assert not re.search(r"error: (IndexError|TypeError|KeyError)|invalid literal",
+                             out.getvalue())
+        if code == 2:
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+    run()
