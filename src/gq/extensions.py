@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 
 from .errors import ChartMismatchError, GradingError, StructureError
-from .forms import TangentChart
+from .forms import TangentChart, dorfman_bracket
 from .graded_algebra import GPoly, _divided, _rat, _sum_pairs, substitute
 from .linalg import as_matrix, dot, rank
 from .nq_core import Derivation, commutator
@@ -418,9 +418,7 @@ def symmetry_bracket(s1: SymmetryPair, s2: SymmetryPair) -> SymmetryPair:
     for n > 1."""
     if (s1.m, s1.n) != (s2.m, s2.n):
         raise ChartMismatchError("symmetry pairs live on different charts")
-    tc = s1.tangent
-    vec = tc.vector_bracket(s1.v, s2.v)
-    form = tc.lie(s1.v, s2.alpha) - tc.iota(s2.v, tc.d(s1.alpha))
+    vec, form = dorfman_bracket(s1.tangent, (s1.v, s1.alpha), (s2.v, s2.alpha))
     return SymmetryPair(s1.m, s1.n, vec, form)
 
 

@@ -27,6 +27,22 @@ class TangentChart:
         gvars += [GVar(n, w) for n, w in extra]
         self.chart = Chart(gvars)
 
+    @classmethod
+    def over(cls, chart: Chart, x_names, xi_names) -> "TangentChart":
+        """The Cartan calculus of the named (x, xi) pairs on an existing chart:
+        d sends x_names[a] to xi_names[a], every other coordinate is a fiber."""
+        tc = cls.__new__(cls)
+        tc.x_names, tc.xi_names = tuple(x_names), tuple(xi_names)
+        if len(tc.x_names) != len(tc.xi_names):
+            raise ValueError("every base coordinate needs one odd partner")
+        for names, w in ((tc.x_names, 0), (tc.xi_names, 1)):
+            for n in names:
+                if chart.gvar(n).weight != w:
+                    raise GradingError(f"coordinate {n!r} must have weight {w}")
+        tc.m = len(tc.x_names)
+        tc.chart = chart
+        return tc
+
     def x(self, a: int) -> GPoly:
         return self.chart.var(self.x_names[a - 1])
 
@@ -42,20 +58,7 @@ class TangentChart:
     def is_base_form(self, p: GPoly) -> bool:
         """True if p only involves the (x, xi) block."""
         fixed = set(self.x_names) | set(self.xi_names)
-        for key in p.terms:
-            for i, e in enumerate(key):
-                if e and self.chart.gvars[i].name not in fixed:
-                    return False
-        return True
-
-    def form_degree(self, p: GPoly):
-        """Number of xi factors, if uniform across terms (None otherwise)."""
-        degs = set()
-        for key in p.terms:
-            degs.add(sum(key[self.chart.index(n)] for n in self.xi_names))
-        if not degs:
-            return 0
-        return degs.pop() if len(degs) == 1 else None
+        return p.at_zero(v.name for v in self.chart.gvars if v.name not in fixed) == p
 
     # -- Cartan operations -------------------------------------------------
 
@@ -101,7 +104,8 @@ def dorfman_bracket(tc: TangentChart, sec1, sec2):
     """Dorfman bracket on polynomial sections of TM + T*M.
 
     Sections are pairs (X, xi): X a list of m weight-0 polynomials, xi a
-    weight-1 base form. Returns ([X,Y], L_X zeta - iota_Y d xi).
+    weight-1 base form (a base form of any weight gives the bracket of
+    symmetry pairs). Returns ([X,Y], L_X zeta - iota_Y d xi).
     """
     X, xi = sec1
     Y, zeta = sec2

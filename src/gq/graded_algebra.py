@@ -281,6 +281,13 @@ class GPoly:
             out.setdefault(w, {})[k] = c
         return {w: GPoly(self.chart, t) for w, t in sorted(out.items())}
 
+    def at_zero(self, names) -> "GPoly":
+        """The terms involving none of the named coordinates: the polynomial
+        on the locus where those coordinates vanish."""
+        idx = [self.chart.index(n) for n in names]
+        return GPoly(self.chart, {k: c for k, c in self.terms.items()
+                                  if not any(k[i] for i in idx)})
+
     def constant_term(self):
         zero_key = (0,) * len(self.chart)
         return self.terms.get(zero_key, 0)
@@ -322,11 +329,17 @@ class GPoly:
         return self * other
 
     def __pow__(self, n: int):
+        """Repeated squaring; stops as soon as the result vanishes."""
         if n < 0:
             raise ValueError("negative power")
-        result = self.chart.one()
-        for _ in range(n):
-            result = result * self
+        result, square = self.chart.one(), self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if not n or not result.terms:
+                break
+            square = square * square
         return result
 
     def __eq__(self, other):

@@ -26,9 +26,10 @@ from . import complexes as cx
 from . import dsl
 from . import extensions as ext
 from . import sigma_structures as sig
-from .errors import GqError, SemanticError
+from .errors import GqError, SemanticError, UnsupportedInputError
 from .forms import TangentChart, dorfman_bracket
-from .graded_algebra import Chart, GPoly, GVar, left_derivative, scaling_check
+from .graded_algebra import Chart, GVar, left_derivative, scaling_check
+from .linalg import Matrix
 from .nq_core import Derivation, commutator, euler_field, manifold_degree, q_square
 
 
@@ -174,8 +175,15 @@ class Session:
     # -- statement handlers -------------------------------------------------
 
     def run_statement(self, st):
+        """Run one binding statement; a construction error is a semantic
+        error at the statement."""
         handler = getattr(self, f"_do_{type(st).__name__}")
-        handler(st)
+        try:
+            handler(st)
+        except SemanticError:
+            raise
+        except (GqError, ValueError) as exc:
+            raise SemanticError(str(exc), *st.pos)
 
     def _do_ChartStmt(self, st):
         for n, w in st.coords:
@@ -197,29 +205,17 @@ class Session:
             if vname not in {v.name for v in chart.gvars}:
                 raise SemanticError(f"unknown coordinate {vname!r}", *st.pos)
             comps[vname] = _eval(e, chart, None, st.pos)
-        try:
-            D = Derivation(chart, st.degree, comps)
-        except GqError as exc:
-            raise SemanticError(str(exc), *st.pos)
-        self.bind(st.name, "qfield", D, st.pos)
+        self.bind(st.name, "qfield", Derivation(chart, st.degree, comps), st.pos)
 
     def _do_SigmaStmt(self, st):
-        try:
-            dchart = sig.DarbouxChart(
-                st.degree,
-                [sig.ConjugatePair(q, wq, p, wp, s) for q, wq, p, wp, s in st.pairs])
-        except GqError as exc:
-            raise SemanticError(str(exc), *st.pos)
+        dchart = sig.DarbouxChart(
+            st.degree, [sig.ConjugatePair(q, wq, p, wp, s) for q, wq, p, wp, s in st.pairs])
         self.bind(st.name, "sigma", dchart, st.pos)
 
     def _do_HamStmt(self, st):
         dchart = self.get(st.target, "sigma", pos=st.pos)
         poly = _eval(st.expr, dchart.chart, None, st.pos)
-        try:
-            ham = sig.Hamiltonian(dchart, poly)
-        except GqError as exc:
-            raise SemanticError(str(exc), *st.pos)
-        self.bind(st.name, "ham", ham, st.pos)
+        self.bind(st.name, "ham", sig.Hamiltonian(dchart, poly), st.pos)
 
     def _do_FormStmt(self, st):
         kind = self.kind_of(st.target)
@@ -245,37 +241,28 @@ class Session:
         c = {}
         for k, i, j, e in st.structures:
             c[(k, i, j)] = _eval(e, chart, None, st.pos)
-        try:
-            A = sig.AlgebroidData(st.base, st.fiber, rho, c)
-        except (GqError, ValueError) as exc:
-            raise SemanticError(str(exc), *st.pos)
-        self.bind(st.name, "algebroid", A, st.pos)
+        self.bind(st.name, "algebroid", sig.AlgebroidData(st.base, st.fiber, rho, c), st.pos)
 
     def _do_AlgebraStmt(self, st):
-        try:
-            if st.builtin == "so3":
-                g = ext.so3()
-            elif st.builtin == "sl2":
-                g = ext.sl2()
-            else:
-                c = {(k, i, j): v for k, i, j, v in st.structures}
-                ip = [[Fraction(0)] * st.dim for _ in range(st.dim)]
-                for i, j, v in st.inner:
-                    ip[i - 1][j - 1] = v
-                    ip[j - 1][i - 1] = v
-                g = ext.QuadraticLieAlgebra(st.dim, c, ip)
-        except (GqError, ValueError) as exc:
-            raise SemanticError(str(exc), *st.pos)
+        if st.builtin == "so3":
+            g = ext.so3()
+        elif st.builtin == "sl2":
+            g = ext.sl2()
+        else:
+            c = {(k, i, j): v for k, i, j, v in st.structures}
+            ip = {}                       # the last assignment to a pair wins
+            for i, j, v in st.inner:
+                if not (1 <= i <= st.dim and 1 <= j <= st.dim):
+                    raise SemanticError(f"inner product index out of range: {(i, j)}", *st.pos)
+                ip[(i - 1, j - 1)] = ip[(j - 1, i - 1)] = v
+            entries = ((i, j, v) for (i, j), v in ip.items())
+            g = ext.QuadraticLieAlgebra(st.dim, c, Matrix.from_entries(st.dim, st.dim, entries))
         self.bind(st.name, "algebra", g, st.pos)
 
     def _do_TwistStmt(self, st):
         shell = ext.TwistData(st.base, st.degree)
         eta = _eval(st.expr, shell.chart, shell.tangent, st.pos)
-        try:
-            tw = ext.TwistData(st.base, st.degree, eta)
-        except GqError as exc:
-            raise SemanticError(str(exc), *st.pos)
-        self.bind(st.name, "twist", tw, st.pos)
+        self.bind(st.name, "twist", ext.TwistData(st.base, st.degree, eta), st.pos)
 
     def _do_PairStmt(self, st):
         shell = ext.TwistData(st.base, st.degree)
@@ -285,11 +272,7 @@ class Session:
                 raise SemanticError(f"vector index {i} out of range", *st.pos)
             v[i - 1] = _eval(e, shell.chart, shell.tangent, st.pos)
         alpha = _eval(st.alpha, shell.chart, shell.tangent, st.pos)
-        try:
-            sp = ext.SymmetryPair(st.base, st.degree, v, alpha)
-        except (GqError, ValueError) as exc:
-            raise SemanticError(str(exc), *st.pos)
-        self.bind(st.name, "pair", sp, st.pos)
+        self.bind(st.name, "pair", ext.SymmetryPair(st.base, st.degree, v, alpha), st.pos)
 
     def _do_LoadStmt(self, st):
         path = self.options.base_dir / st.filename
@@ -325,11 +308,7 @@ class Session:
             fiber = cx.two_term_fiber(st.fiber2)
         else:
             fiber = self.get(st.fiber, "algebra", pos=st.pos)
-        try:
-            R = cx.lattice_model(st.surface, fiber)
-        except (GqError, ValueError) as exc:
-            raise SemanticError(str(exc), *st.pos)
-        self.bind(st.name, "complex", R, st.pos)
+        self.bind(st.name, "complex", cx.lattice_model(st.surface, fiber), st.pos)
 
     def _do_NMapStmt(self, st):
         dchart = self.get(st.target, "sigma", pos=st.pos)
@@ -495,7 +474,10 @@ def check_cartan(session, st, g):
 
 def check_dirac(session, st, h, constraints):
     Q = sig.hamiltonian_to_q(h.dchart, h)
-    good = sig.lambda_check(h.dchart, Q, constraints)
+    try:
+        good = sig.lambda_check(h.dchart, Q, constraints)
+    except UnsupportedInputError as exc:    # a name off the chart
+        raise SemanticError(f"dirac: {exc}", *st.pos)
     return _ok(good, witness_fail="locus is not a Lagrangian Q-invariant submanifold")
 
 
@@ -674,12 +656,13 @@ def check_poisson(session, st, h):
 
 
 def _courant_base(dchart, pos):
-    """Names of the base coordinates (the q's of the even pairs) of a
-    standard degree-2 chart."""
+    """Names of the q's of the even pairs (the base coordinates) and of the
+    odd pairs (their differentials theta) of a standard degree-2 chart."""
     even = [p.q_name for p in dchart.pairs if p.q_weight % 2 == 0]
-    if dchart.n != 2 or 2 * len(even) != len(dchart.pairs):
+    odd = [p.q_name for p in dchart.pairs if p.q_weight % 2]
+    if dchart.n != 2 or len(even) != len(odd):
         raise SemanticError("dorfman check needs a standard degree-2 chart", *pos)
-    return even
+    return even, odd
 
 
 def _rand_base(rng, chart, xnames, top):
@@ -691,57 +674,35 @@ def _rand_base(rng, chart, xnames, top):
     return chart.monomial(Fraction(rng.randint(-2, 2)), tuple(key))
 
 
-def _transport(poly, chart, index):
-    """Carry a base polynomial to `chart`, moving the exponent at position i
-    to position index[i]; every other exponent must be zero."""
-    terms = []
-    for key, coeff in poly.terms.items():
-        exps = [0] * len(chart.gvars)
-        for i, j in index.items():
-            exps[j] = key[i]
-        if sum(key) != sum(exps):
-            raise ValueError("polynomial is not base-only")
-        terms.append(chart.monomial(coeff, tuple(exps)))
-    return chart.sum(terms)
-
-
 def check_dorfman(session, st, h, samples=20):
+    """{{Theta, e1}, e2} against the Dorfman bracket of the Cartan calculus
+    on the same chart, with the 1-form xi_a encoded as xi_a theta^a."""
     dchart = h.dchart
-    xnames = _courant_base(dchart, st.pos)
-    m = len(xnames)
-    tc = TangentChart(m)
-    rng = session.rng
-    # the base coordinates go to x1..xm, the first m coordinates of tc
-    to_tc = {dchart.chart.index(nm): a for a, nm in enumerate(xnames)}
-    from_tc = {a: i for i, a in to_tc.items()}
+    tc = TangentChart.over(dchart.chart, *_courant_base(dchart, st.pos))
+    chart, m, rng = dchart.chart, tc.m, session.rng
 
     def rand_poly():
-        return dchart.chart.sum(_rand_base(rng, dchart.chart, xnames, 2)
-                                for _ in range(rng.randint(1, 2)))
+        return chart.sum(_rand_base(rng, chart, tc.x_names, 2)
+                         for _ in range(rng.randint(1, 2)))
 
-    def tangent_section(V, form):
-        return ([_transport(f, tc.chart, to_tc) for f in V],
-                tc.chart.sum(_transport(f, tc.chart, to_tc) * tc.xi(a + 1)
-                             for a, f in enumerate(form)))
+    def one_form(coeffs):
+        return chart.sum(f * chart.var(t) for f, t in zip(coeffs, tc.xi_names))
 
     for _ in range(samples):
         X, xi, Y, zeta = ([rand_poly() for _ in range(m)] for _ in range(4))
         e1 = sig.section_encode(dchart, X, xi)
         e2 = sig.section_encode(dchart, Y, zeta)
         got = sig.derived_bracket(dchart, h, e1, e2)
-        vec, form = dorfman_bracket(tc, tangent_section(X, xi), tangent_section(Y, zeta))
+        vec, form = dorfman_bracket(tc, (X, one_form(xi)), (Y, one_form(zeta)))
         expected = sig.section_encode(
-            dchart,
-            [_transport(v, dchart.chart, from_tc) for v in vec],
-            [_transport(left_derivative(form, tc.xi_names[a]), dchart.chart, from_tc)
-             for a in range(m)])
+            dchart, vec, [left_derivative(form, t) for t in tc.xi_names])
         if got != expected:
             return "fail", None, "derived bracket differs from the Dorfman oracle"
     return "pass", None, f"{samples} random sections agree exactly"
 
 
 def check_pairing(session, st, dchart):
-    xnames = _courant_base(dchart, st.pos)
+    xnames, _ = _courant_base(dchart, st.pos)
     m = len(xnames)
     rng = session.rng
     for _ in range(20):

@@ -19,7 +19,7 @@ from .graded_algebra import (
     Chart, GPoly, GVar, _collect, _divided, _partials, _products, _rat,
     left_derivative,
 )
-from .nq_core import Derivation, q_square
+from .nq_core import Derivation
 
 
 @dataclass(frozen=True)
@@ -280,11 +280,9 @@ def courant_theta(dchart: DarbouxChart, eta: GPoly | None = None) -> GPoly:
     if eta is not None:
         if not eta.is_homogeneous(3):
             raise GradingError("twisting form must be homogeneous of weight 3")
-        banned = {f"p{a}" for a in range(1, m + 1)} | {f"chi{a}" for a in range(1, m + 1)}
-        for key in eta.terms:
-            for i, e in enumerate(key):
-                if e and dchart.chart.gvars[i].name in banned:
-                    raise GradingError("twisting form may only involve x and theta")
+        banned = [f"p{a}" for a in range(1, m + 1)] + [f"chi{a}" for a in range(1, m + 1)]
+        if eta.at_zero(banned) != eta:
+            raise GradingError("twisting form may only involve x and theta")
         terms.append(eta)
     return dchart.chart.sum(terms)
 
@@ -434,9 +432,5 @@ def lambda_check(dchart: DarbouxChart, Q: Derivation, constraints) -> bool:
     for pr in dchart.pairs:
         if (pr.q_name in cset) == (pr.p_name in cset):
             return False  # neither or both members constrained
-    idx = [dchart.chart.index(n) for n in cset]
-    for name in cset:
-        for key in Q.component(name).terms:
-            if not any(key[i] for i in idx):
-                return False  # a term of Q(constraint) survives on the locus
-    return True
+    # Q of each constraint must vanish on the locus
+    return all(Q.component(name).at_zero(cset).is_zero() for name in cset)

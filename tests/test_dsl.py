@@ -329,6 +329,48 @@ def test_cli_conflicting_algebra_constants_exits_2(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+COURANT_1 = "sigma S deg 2 pairs { (x:0, p:2, sign -1); (theta:1, chi:1); }\n"
+COURANT_3 = ("sigma S deg 2 pairs { "
+             + " ".join(f"(x{a}:0, p{a}:2, sign -1);" for a in (1, 2, 3))
+             + " " + " ".join(f"(theta{a}:1, chi{a}:1);" for a in (1, 2, 3)) + " }\n")
+
+
+@pytest.mark.parametrize("source, where, message", [
+    ("chart C { x:0; x:0; }", "1:1", "duplicate variable names in chart"),
+    ("sigma S deg 1 pairs { (x:0, p:1); (x:0, q:1); }", "1:1", "duplicate variable names in chart"),
+    ("twist T base 2 deg 0 = 0;", "1:1", "fiber weight must be at least 1"),
+    ("pair P base 2 deg 0 { alpha = 0; }", "1:1", "fiber weight must be at least 1"),
+    ("algebra G dim 2 { ip 3 3 = 1; }", "1:1", "inner product index out of range: (3, 3)"),
+    ("algebra G dim 2 { ip 1 1 = 1; ip 2 0 = 1; }", "1:1",
+     "inner product index out of range: (2, 0)"),
+    (COURANT_1 + "ham TH on S = theta*p;\ncheck dirac TH constraints q9;", "3:1",
+     "dirac: constraint 'q9' is not a Darboux coordinate"),
+])
+def test_cli_construction_error_exits_2(tmp_path, capsys, source, where, message):
+    f = tmp_path / "p.gq"
+    f.write_text(source)
+    assert cli_main(["run", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {f}:{where}: {message}\n"
+    assert captured.out == ""
+
+
+def test_algebra_inner_product_last_assignment_wins():
+    # a repeated position is overwritten, not summed, and (i, j) mirrors (j, i)
+    session = analyze(dsl.parse(
+        "algebra G dim 2 { ip 1 1 = 5; ip 1 1 = 1; ip 2 2 = 1; ip 1 2 = 2; ip 2 1 = 3; }"))
+    assert session.get("G").ip.rows == [{0: 1, 1: 3}, {0: 3, 1: 1}]
+
+
+def test_dorfman_rejects_a_twisted_courant_hamiltonian():
+    plain = "ham TH on S = theta1*p1 + theta2*p2 + theta3*p3;\n"
+    twisted = "ham TH on S = theta1*p1 + theta2*p2 + theta3*p3 + 2*theta1*theta2*theta3;\n"
+    for ham, verdict in ((plain, "pass"), (twisted, "fail")):
+        rep = run_source(COURANT_3 + ham + "check dorfman TH samples 5;")
+        assert [r.verdict for r in rep.records] == [verdict]
+    assert rep.records[0].witness == "derived bracket differs from the Dorfman oracle"
+
+
 def test_cli_one_shot_check(capsys):
     code = cli_main(["check", "q2", "Q", "-s",
                      "chart X { x:0; xi:1; } qfield Q on X { x -> xi; xi -> 0; }"])

@@ -1,11 +1,15 @@
 """The exact supercommutative polynomial kernel."""
 
+import ast
 import itertools
 import math
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gq
 from gq import (
     Chart, ChartMismatchError, DarbouxChart, GPoly, GradingError, GVar, left_derivative,
     multiply, nmap_space, rescale, scaling_check, substitute, weight_of,
@@ -332,3 +336,69 @@ def test_nmap_pairing_property(case):
     total, entries = _nmap_pairing_reference(dchart, n)
     assert N.total_dim == total and N.pairing.shape == (total, total)
     assert {(r, c): x for r, row in enumerate(N.pairing.rows) for c, x in row.items()} == entries
+
+
+def _pow_reference(p, n):
+    """p^n by n successive multiplications."""
+    out = p.chart.one()
+    for _ in range(n):
+        out = out * p
+    return out
+
+
+def test_pow_matches_repeated_multiplication(chart, rng):
+    for _ in range(8):
+        p = random_poly(chart, rng)
+        for n in range(13):
+            assert p ** n == _pow_reference(p, n)
+
+
+@given(_polys(1), lambda st: st.integers(0, 12))
+def test_pow_property(case, n):
+    _, _, (p,) = case
+    assert p ** n == _pow_reference(p, n)
+
+
+def test_pow_huge_exponent_returns_at_once(chart):
+    x, xi1, xi2 = chart.var("x"), chart.var("xi1"), chart.var("xi2")
+    n = 10 ** 6
+    t0 = time.perf_counter()
+    assert str(x ** n) == "x^1000000"
+    assert (x + xi1) ** n == x ** n + n * x ** (n - 1) * xi1
+    assert ((xi1 + xi2) ** (10 ** 9)).is_zero()
+    assert time.perf_counter() - t0 < 5.0
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+def test_at_zero(chart):
+    x, y, xi1, xi2 = (chart.var(n) for n in ("x", "y", "xi1", "xi2"))
+    p = 3 + x * xi1 + y * y + xi2 * xi1 - x * y
+    assert p.at_zero(["x"]) == 3 + y * y + xi2 * xi1
+    assert p.at_zero(["x", "xi2"]) == 3 + y * y
+    assert p.at_zero([]) == p
+    assert p.at_zero(v.name for v in chart.gvars) == chart.const(3)
+    with pytest.raises(KeyError):
+        p.at_zero(["z"])
+
+
+@given(_polys(1))
+def test_at_zero_is_substituting_zero(case):
+    chart, v, (p,) = case
+    assert p.at_zero([v]) == substitute(p, v, chart.zero())
+
+
+def test_monomial_keys_stay_in_the_kernel():
+    """Outside graded_algebra, only the two sweeps of poisson_bracket read
+    GPoly.terms; everything else goes through the kernel's entry points."""
+    readers = []
+    for path in sorted(Path(gq.__file__).parent.glob("*.py")):
+        if path.name == "graded_algebra.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                   and f.name == "poisson_bracket" for n in ast.walk(f)}
+        readers += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr == "terms"
+                    and id(n) not in allowed]
+    assert readers == []

@@ -413,6 +413,34 @@ def test_derived_bracket_is_dorfman(rng):
         assert got == expected
 
 
+def test_tangent_chart_over_a_darboux_chart(rng):
+    m = 2
+    cc = courant_chart(m)
+    xnames = [f"x{a}" for a in range(1, m + 1)]
+    tnames = [f"theta{a}" for a in range(1, m + 1)]
+    tc = TangentChart.over(cc.chart, xnames, tnames)
+    x1, x2, th1, th2 = (cc.var(n) for n in ("x1", "x2", "theta1", "theta2"))
+    assert tc.chart is cc.chart and tc.m == m
+    assert tc.d(x1 * x2) == th1 * x2 + x1 * th2
+    assert tc.is_base_form(x1 * th2) and not tc.is_base_form(x1 * cc.var("p2"))
+    theta = courant_theta(cc)
+
+    def one_form(coeffs):
+        return cc.chart.sum(f * cc.var(t) for f, t in zip(coeffs, tnames))
+
+    for _ in range(10):
+        X, xi, Y, zeta = ([_random_base(cc.chart, xnames, rng) for _ in range(m)]
+                          for _ in range(4))
+        vec, form = dorfman_bracket(tc, (X, one_form(xi)), (Y, one_form(zeta)))
+        expected = section_encode(cc, vec, [left_derivative(form, t) for t in tnames])
+        e1, e2 = section_encode(cc, X, xi), section_encode(cc, Y, zeta)
+        assert derived_bracket(cc, theta, e1, e2) == expected
+    with pytest.raises(GradingError):
+        TangentChart.over(cc.chart, ["p1"], ["theta1"])
+    with pytest.raises(ValueError):
+        TangentChart.over(cc.chart, xnames, tnames[:1])
+
+
 def test_dorfman_named_examples():
     cc = courant_chart(1)
     theta = courant_theta(cc)
