@@ -41,14 +41,14 @@ from .apath import (
     reverse, save_apath,
 )
 from .complexes import (
-    BoundaryLagrangianReport, CohomologyPairing, FiberSpace, GradedComplex,
+    BoundaryLagrangianReport, CohomologyPairing, GradedComplex,
     LemmaThreeReport, NMapSpace, RelativeComplex, SimplicialComplex,
     SuspensionReport, SymplecticComplex, ball_relative_complex,
     boundary_lagrangian, circle_complex, closed_relative, cohomology_pairing,
     cylinder_complex, disk_complex, double_complex, interval_complex,
     lattice_model, lemma3_orthogonality, load_complex, nmap_space,
-    save_complex, suspension_check, tensor_complex, torus_complex,
-    two_term_fiber,
+    save_complex, suspension_check, tensor_complex, tensor_symplectic,
+    torus_complex, two_term_fiber,
 )
 
 __version__ = "0.1.0"

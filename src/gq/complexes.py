@@ -11,6 +11,7 @@ boundary is read off the boundary of the fundamental chain.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import StructureError
@@ -135,6 +136,27 @@ def tensor_complex(A: GradedComplex, B: GradedComplex) -> GradedComplex:
                                          -1 if i % 2 else 1)
         diffs[t] = Matrix.from_entries(comps[t + 1], comps[t], entries)
     return GradedComplex(comps, diffs)
+
+
+def tensor_symplectic(A: SymplecticComplex, B: SymplecticComplex) -> SymplecticComplex:
+    """tensor_complex(A, B) with the Koszul-signed pairing of degree D_A + D_B
+        <u x a, v x b> = (-1)^{|a||v|} <u, v>_A <a, b>_B,
+    which is Q-compatible (resp. chain-nondegenerate) when A and B are."""
+    DA, DB = A.pairing_degree, B.pairing_degree
+    offsets, comps = _block_offsets(A.complex.components, B.complex.components)
+    pairings = {}
+    for t, blocks in offsets.items():
+        partner = offsets.get(DA + DB - t)
+        if partner is None:
+            continue
+        entries = []
+        for (i, j), row0 in blocks.items():
+            col0 = partner.get((DA - i, DB - j))
+            if col0 is not None:
+                entries += _kron_entries(A.pairing(i), B.pairing(j), row0, col0,
+                                         -1 if j % 2 and (DA - i) % 2 else 1)
+        pairings[t] = Matrix.from_entries(comps[t], comps[DA + DB - t], entries)
+    return SymplecticComplex(tensor_complex(A.complex, B.complex), DA + DB, pairings)
 
 
 # ---------------------------------------------------------------------------
@@ -466,56 +488,55 @@ def suspension_check(C0: GradedComplex, n: int, model: GradedComplex | None = No
 
 
 class SimplicialComplex:
-    """Simplices stored as sorted vertex tuples, with an oriented top chain.
+    """The closure of an oriented fundamental chain {sorted vertex tuple:
+    coefficient}, with the simplices of each dimension in sorted order."""
 
-    tops: iterable of vertex tuples in geometric orientation order; the
-    fundamental chain carries the sign of the sorting permutation.
-    """
+    def __init__(self, fundamental):
+        self.fundamental = dict(fundamental)
+        faces = {}
+        for s in _closure_of(self.fundamental):
+            faces.setdefault(len(s) - 1, []).append(s)
+        self.simplices = {k: sorted(faces[k]) for k in sorted(faces)}
+        self.index = {k: {s: i for i, s in enumerate(v)} for k, v in self.simplices.items()}
+        self.top_dim = max(self.simplices, default=-1)
 
-    def __init__(self, tops):
-        tops = [tuple(t) for t in tops]
-        if not tops:
-            self.top_dim = -1
-            self.simplices = {}
-            self.index = {}
-            self.fundamental = []
-            return
-        self.top_dim = len(tops[0]) - 1
-        faces = {k: set() for k in range(self.top_dim + 1)}
-        self.fundamental = []
-        for t in tops:
+    @classmethod
+    def from_tops(cls, tops) -> "SimplicialComplex":
+        """tops: vertex tuples in geometric orientation order; each enters the
+        fundamental chain with the sign of its sorting permutation."""
+        pairs = []
+        for t in map(tuple, tops):
             if len(set(t)) != len(t):
                 raise ValueError(f"degenerate simplex {t}")
-            key = tuple(sorted(t))
-            self.fundamental.append((key, _perm_sign(t)))
-            for k in range(len(t)):
-                for sub in itertools.combinations(key, k + 1):
-                    faces[k].add(sub)
-        self.simplices = {k: sorted(v) for k, v in faces.items()}
-        self.index = {k: {s: i for i, s in enumerate(v)} for k, v in self.simplices.items()}
+            pairs.append((tuple(sorted(t)), _perm_sign(t)))
+        return cls(_sum_pairs(pairs))
 
     def dim(self, k: int) -> int:
         return len(self.simplices.get(k, []))
 
-    def coboundary(self, k: int):
-        """(d alpha)(s) = sum_i (-1)^i alpha(s without vertex i), s of dim k+1."""
-        return Matrix.from_entries(
-            self.dim(k + 1), self.dim(k),
-            ((row, self.index[k][s[:i] + s[i + 1:]], (-1) ** i)
-             for s, row in self.index.get(k + 1, {}).items() for i in range(len(s))))
-
     def boundary_chain(self):
         """Coefficients of the boundary of the fundamental chain, by simplex."""
         return _sum_pairs((s[:i] + s[i + 1:], sign * (-1) ** i)
-                          for s, sign in self.fundamental for i in range(len(s)))
+                          for s, sign in self.fundamental.items() for i in range(len(s)))
 
     def graded_complex(self) -> GradedComplex:
-        comps = {k: self.dim(k) for k in self.simplices}
-        diffs = {k: self.coboundary(k) for k in self.simplices if self.dim(k + 1)}
-        return GradedComplex(comps, diffs)
+        return self.relative_complex(())
+
+    def cup_complex(self) -> SymplecticComplex:
+        """Scalar cochains paired in degree top_dim by integrating the
+        front/back cup product over the fundamental chain."""
+        n = self.top_dim
+        pairings = {
+            k: Matrix.from_entries(
+                self.dim(k), self.dim(n - k),
+                ((self.index[k][s[:k + 1]], self.index[n - k][s[k:]], c)
+                 for s, c in self.fundamental.items() if len(s) == n + 1))
+            for k in self.simplices if n - k in self.simplices}
+        return SymplecticComplex(self.graded_complex(), n, pairings)
 
     def relative_complex(self, forbidden) -> GradedComplex:
-        """Cochains vanishing on the simplices in `forbidden` (a closed set)."""
+        """Cochains vanishing on the simplices in `forbidden` (a closed set);
+        (d alpha)(s) = sum_i (-1)^i alpha(s without vertex i)."""
         forbidden = set(forbidden)
         keep = {k: [s for s in v if s not in forbidden] for k, v in self.simplices.items()}
         idx = {k: {s: i for i, s in enumerate(v)} for k, v in keep.items()}
@@ -542,6 +563,11 @@ def _perm_sign(t):
     return sign
 
 
+def _closure_of(chain):
+    """Every face of every simplex of the chain."""
+    return {sub for s in chain for k in range(len(s)) for sub in itertools.combinations(s, k + 1)}
+
+
 def _grid_triangles(idx, m1, m2):
     """Counterclockwise triangle pairs per grid square."""
     tops = []
@@ -560,34 +586,34 @@ def torus_complex(m1: int, m2: int) -> SimplicialComplex:
     if m1 < 3 or m2 < 3:
         raise ValueError("torus lattice needs at least 3 cells per direction")
     idx = lambda i, j: (i % m1) * m2 + (j % m2)
-    return SimplicialComplex(_grid_triangles(idx, m1, m2))
+    return SimplicialComplex.from_tops(_grid_triangles(idx, m1, m2))
 
 
 def cylinder_complex(m1: int, m2: int) -> SimplicialComplex:
     if m1 < 3 or m2 < 1:
         raise ValueError("cylinder lattice needs >= 3 cells around, >= 1 along")
     idx = lambda i, j: (i % m1) * (m2 + 1) + j
-    return SimplicialComplex(_grid_triangles(idx, m1, m2))
+    return SimplicialComplex.from_tops(_grid_triangles(idx, m1, m2))
 
 
 def disk_complex(m: int) -> SimplicialComplex:
     if m < 1:
         raise ValueError("disk lattice needs at least one cell per direction")
     idx = lambda i, j: i * (m + 1) + j
-    return SimplicialComplex(_grid_triangles(idx, m, m))
+    return SimplicialComplex.from_tops(_grid_triangles(idx, m, m))
 
 
 def interval_complex(m: int) -> SimplicialComplex:
     if m < 1:
         raise ValueError("interval needs at least one segment")
-    return SimplicialComplex([(i, i + 1) for i in range(m)])
+    return SimplicialComplex.from_tops([(i, i + 1) for i in range(m)])
 
 
 def circle_complex(m: int) -> GradedComplex:
     """Cochains of the cyclic m-gon."""
     if m < 3:
         raise ValueError("circle needs at least 3 segments")
-    K = SimplicialComplex([(i, (i + 1) % m) for i in range(m)])
+    K = SimplicialComplex.from_tops([(i, (i + 1) % m) for i in range(m)])
     return K.graded_complex()
 
 
@@ -602,7 +628,7 @@ def ball_relative_complex(n: int, m: int = 2) -> GradedComplex:
     elif n == 2:
         K = disk_complex(m)
     elif n == 3:
-        K = SimplicialComplex([(0, 1, 2, 3), (1, 2, 3, 4)])
+        K = SimplicialComplex.from_tops([(0, 1, 2, 3), (1, 2, 3, 4)])
     else:
         raise ValueError("ball models are provided for n in {1, 2, 3}")
     return K.relative_complex(_closure_of(K.boundary_chain()))
@@ -613,134 +639,56 @@ def ball_relative_complex(n: int, m: int = 2) -> GradedComplex:
 # ---------------------------------------------------------------------------
 
 
-class FiberSpace:
-    """Graded fiber with a degree-n pairing: components deg -> dim, blocks
-    deg -> matrix pairing V_deg x V_{n - deg}."""
-
-    def __init__(self, components, pairing_degree, blocks):
-        self.components = {k: d for k, d in components.items() if d > 0}
-        self.pairing_degree = pairing_degree
-        self.blocks = {k: as_matrix(M) for k, M in blocks.items()}
-
-    @classmethod
-    def from_quadratic(cls, g) -> "FiberSpace":
-        return cls({0: g.dim}, 0, {0: g.ip})
-
-    def dim(self, k):
-        return self.components.get(k, 0)
-
-    def block(self, k) -> Matrix:
-        M = self.blocks.get(k)
-        return Matrix.zero(self.dim(k), self.dim(self.pairing_degree - k)) if M is None else M
-
-
-def two_term_fiber(n: int) -> FiberSpace:
+def two_term_fiber(n: int) -> SymplecticComplex:
     """A 2-dimensional symplectic fiber in degrees 0 and n."""
-    return FiberSpace({0: 1, n: 1}, n, {0: [[1]], n: [[1]]})
+    return SymplecticComplex(GradedComplex({0: 1, n: 1}, {}), n, {0: [[1]], n: [[1]]})
 
 
-def _cup_matrix(K: SimplicialComplex, chain, k: int, l: int) -> Matrix:
-    """Integration of (alpha cup beta) over the given top chain;
-    alpha of form degree k, beta of degree l, evaluated front/back."""
-    return Matrix.from_entries(
-        K.dim(k), K.dim(l),
-        ((K.index[k][s[:k + 1]], K.index[l][s[k:]], sign)
-         for s, sign in chain if len(s) == k + l + 1))
-
-
-def _assemble_lattice(K: SimplicialComplex, chain, fiber: FiberSpace, chain_dim: int):
-    """SymplecticComplex of fiber-valued cochains with the cup-times-fiber
-    pairing, and the layout of its (form degree, fiber degree) blocks."""
-    Dtot = chain_dim + fiber.pairing_degree
-    offsets, comps = _block_offsets({k: K.dim(k) for k in K.simplices}, fiber.components)
-    diffs = {}
-    for t, blocks in offsets.items():
-        if t + 1 not in comps:
-            continue
-        entries = []
-        for (k, a), c0 in blocks.items():
-            if (k + 1, a) in offsets[t + 1]:
-                entries += _kron_entries(K.coboundary(k), _eye(fiber.dim(a)),
-                                         offsets[t + 1][(k + 1, a)], c0)
-        diffs[t] = Matrix.from_entries(comps[t + 1], comps[t], entries)
-    pairings = {}
-    for t, blocks in offsets.items():
-        v = Dtot - t
-        if v not in comps:
-            continue
-        entries = []
-        for (k, a), r0 in blocks.items():
-            l = chain_dim - k
-            c0 = offsets[v].get((l, fiber.pairing_degree - a))
-            if c0 is None:
-                continue
-            # Koszul twist from moving the fiber factor past the second form
-            # factor; makes the Stokes identity hold in the total grading
-            tw = -1 if (a % 2) * (l % 2) else 1
-            entries += _kron_entries(_cup_matrix(K, chain, k, l), fiber.block(a), r0, c0, tw)
-        pairings[t] = Matrix.from_entries(comps[t], comps[v], entries)
-    return SymplecticComplex(GradedComplex(comps, diffs), Dtot, pairings), offsets
+_SURFACES = {"torus": torus_complex, "cylinder": cylinder_complex,
+             "interval": interval_complex, "disk": disk_complex}
 
 
 def lattice_model(surface, fiber) -> RelativeComplex:
-    """Fiber-valued cochains on a lattice surface with the cup-product pairing.
+    """Fiber-valued cochains C(K) (x) F on a lattice surface K: the total
+    complex is tensor_symplectic(K.cup_complex(), F), the boundary is the
+    same over the boundary of the fundamental chain, and the restriction is
+    (inclusion of simplices) (x) 1.
 
     surface: ("torus", m1, m2) | ("interval", m) | ("cylinder", m1, m2)
              | ("disk", m)
-    fiber: a FiberSpace or a QuadraticLieAlgebra (placed in degree 0 with its
-    invariant form).
+    fiber: a SymplecticComplex without differential, or a QuadraticLieAlgebra
+    (placed in degree 0 with its invariant form).
     """
-    if not isinstance(fiber, FiberSpace):
-        fiber = FiberSpace.from_quadratic(fiber)
-    kind = surface[0]
-    if kind == "torus":
-        K = torus_complex(surface[1], surface[2])
-    elif kind == "cylinder":
-        K = cylinder_complex(surface[1], surface[2])
-    elif kind == "interval":
-        K = interval_complex(surface[1])
-    elif kind == "disk":
-        K = disk_complex(surface[1])
-    else:
-        raise ValueError(f"unknown surface {kind!r}")
-    chain = K.fundamental
-    chain_dim = K.top_dim
-    total, offsets = _assemble_lattice(K, chain, fiber, chain_dim)
-    bchain_map = K.boundary_chain()
-    if not bchain_map:
+    if not isinstance(fiber, SymplecticComplex):
+        fiber = SymplecticComplex(GradedComplex({0: fiber.dim}, {}), 0, {0: fiber.ip})
+    elif any(any(M.rows) for M in fiber.complex.differentials.values()):
+        raise ValueError("a lattice fiber must have no differential")
+    build = _SURFACES.get(surface[0])
+    if build is None:
+        raise ValueError(f"unknown surface {surface[0]!r}")
+    K = build(*surface[1:])
+    cup = K.cup_complex()
+    total = tensor_symplectic(cup, fiber)
+    bchain = K.boundary_chain()
+    if not bchain:
         return closed_relative(total)
-    Kb = _sub_simplicial(K, _closure_of(bchain_map), bchain_map)
-    bound, b_offsets = _assemble_lattice(Kb, list(bchain_map.items()), fiber, chain_dim - 1)
+    Kb = SimplicialComplex(bchain)
+    b_cup = Kb.cup_complex()
+    bound = tensor_symplectic(b_cup, fiber)
+    fdims = fiber.complex.components
+    offsets, _ = _block_offsets(cup.complex.components, fdims)
+    b_offsets, _ = _block_offsets(b_cup.complex.components, fdims)
+    inclusion = {k: Matrix([{K.index[k][s]: 1} for s in ss], K.dim(k))
+                 for k, ss in Kb.simplices.items()}
     restriction = {}
     for t in total.complex.degrees():
-        if not bound.dim(t):
-            continue
         entries = []
-        for (k, a), c0 in offsets[t].items():
-            if (k, a) in b_offsets[t]:
-                inclusion = Matrix([{K.index[k][s]: 1} for s in Kb.simplices[k]], K.dim(k))
-                entries += _kron_entries(inclusion, _eye(fiber.dim(a)), b_offsets[t][(k, a)], c0)
+        for (k, a), col0 in offsets[t].items():
+            row0 = b_offsets.get(t, {}).get((k, a))
+            if row0 is not None:
+                entries += _kron_entries(inclusion[k], _eye(fdims[a]), row0, col0)
         restriction[t] = Matrix.from_entries(bound.dim(t), total.dim(t), entries)
     return RelativeComplex(total, bound, restriction)
-
-
-def _closure_of(chain_map):
-    out = set()
-    for s in chain_map:
-        for k in range(len(s)):
-            for sub in itertools.combinations(s, k + 1):
-                out.add(sub)
-    return out
-
-
-def _sub_simplicial(K: SimplicialComplex, simplices, top_chain_map) -> SimplicialComplex:
-    sub = SimplicialComplex([])
-    dims = sorted({len(s) - 1 for s in simplices})
-    sub.top_dim = max(dims) if dims else -1
-    sub.simplices = {k: sorted(s for s in simplices if len(s) - 1 == k) for k in dims}
-    sub.index = {k: {s: i for i, s in enumerate(v)} for k, v in sub.simplices.items()}
-    sub.fundamental = [(s, c) for s, c in top_chain_map.items()]
-    return sub
 
 
 # ---------------------------------------------------------------------------
@@ -811,12 +759,14 @@ def nmap_space(dchart, n: int | None = None) -> NMapSpace:
     exterior power, scaled by the pair coefficient."""
     if n is None:
         n = dchart.n
+    if n < 0:
+        raise ValueError(f"N-map source dimension {n} is negative")
     comps = []
     offsets = {}
     total = 0
     for pr in dchart.pairs:
         for name, w in ((pr.q_name, pr.q_weight), (pr.p_name, pr.p_weight)):
-            dim = _binom(n, w)
+            dim = math.comb(n, w)
             offsets[name] = total
             comps.append((name, w, dim))
             total += dim
@@ -839,14 +789,6 @@ def nmap_space(dchart, n: int | None = None) -> NMapSpace:
     P = Matrix.from_entries(total, total, entries)
     nondeg = total == 0 or rank(P) == total
     return NMapSpace(n, comps, P, total, nondeg)
-
-
-def _binom(n, k):
-    if k < 0 or k > n:
-        return 0
-    from math import comb
-
-    return comb(n, k)
 
 
 # ---------------------------------------------------------------------------

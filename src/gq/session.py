@@ -656,13 +656,13 @@ def check_poisson(session, st, h):
 
 
 def _courant_base(dchart, pos):
-    """Names of the q's of the even pairs (the base coordinates) and of the
-    odd pairs (their differentials theta) of a standard degree-2 chart."""
-    even = [p.q_name for p in dchart.pairs if p.q_weight % 2 == 0]
+    """Names of the q's of the even pairs (the weight-0 base coordinates) and
+    of the odd pairs (their differentials theta) of a standard degree-2 chart."""
+    even = [p for p in dchart.pairs if p.q_weight % 2 == 0]
     odd = [p.q_name for p in dchart.pairs if p.q_weight % 2]
-    if dchart.n != 2 or len(even) != len(odd):
+    if dchart.n != 2 or len(even) != len(odd) or any(p.q_weight for p in even):
         raise SemanticError("dorfman check needs a standard degree-2 chart", *pos)
-    return even, odd
+    return [p.q_name for p in even], odd
 
 
 def _rand_base(rng, chart, xnames, top):
@@ -777,8 +777,11 @@ def check_degbound(session, st):
 
 
 def check_moduli(session, st, val, dims=None):
-    S = val.total if isinstance(val, cx.RelativeComplex) else _as_symplectic(val, st)
-    rep = cx.cohomology_pairing(S)
+    if isinstance(val, cx.RelativeComplex):
+        if val.boundary.complex.components:
+            raise SemanticError("moduli needs a closed complex", *st.pos)
+        val = val.total
+    rep = cx.cohomology_pairing(_as_symplectic(val, st))
     got = [rep.dims.get(k, 0) for k in sorted(rep.dims)]
     if dims is not None and got != dims:
         return "fail", None, f"H dims {got}, expected {dims}"

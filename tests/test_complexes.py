@@ -1,18 +1,21 @@
 """Exact cochain complexes, lattice surface models, and the boundary lemmas."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from gq import (
-    FiberSpace, GradedComplex, StructureError, SymplecticComplex,
+    GradedComplex, SimplicialComplex, StructureError, SymplecticComplex,
     ball_relative_complex, boundary_lagrangian, circle_complex,
     closed_relative, cohomology_pairing, courant_chart, double_complex,
     lattice_model, lemma3_orthogonality, load_complex, nmap_space,
     poisson_chart, save_complex, sl2, so3, suspension_check, tensor_complex,
-    torus_complex, two_term_fiber,
+    tensor_symplectic, torus_complex, two_term_fiber,
 )
 from gq.sigma_structures import ConjugatePair, DarbouxChart
+
+from conftest import given
 
 F = Fraction
 
@@ -123,10 +126,43 @@ def test_cylinder_boundary_lagrangian():
 
 
 def test_disk_boundary_lagrangian_abelian():
-    ab = FiberSpace({0: 2}, 0, {0: [[F(0), F(1)], [F(1), F(0)]]})
+    ab = SymplecticComplex(GradedComplex({0: 2}, {}), 0, {0: [[F(0), F(1)], [F(1), F(0)]]})
     rep = boundary_lagrangian(lattice_model(("disk", 3), ab))
     assert rep.isotropic and rep.lagrangian
     assert 2 * rep.image_dim == rep.boundary_h_dim
+
+
+def test_lattice_fiber_with_differential_rejected():
+    F1 = SymplecticComplex(GradedComplex({0: 1, 1: 1}, {0: [[1]]}), 1, {0: [[1]], 1: [[1]]})
+    with pytest.raises(ValueError, match="no differential"):
+        lattice_model(("interval", 2), F1)
+
+
+# save_complex bytes of lattice models: a change of block layout, order or
+# sign in the assembly shows here
+@pytest.mark.parametrize("surface, fiber, part, sha256", [
+    (("torus", 3, 3), so3, "total",
+     "cf3d8f47f995b5ef45f66d14d28d843c1088b1b476ef6565b329a4714c0eacaf"),
+    (("cylinder", 3, 2), so3, "total",
+     "d7f034829caa43b81864fe3908d469c806c836dc7de948c51ce5a474d1bba16c"),
+    (("cylinder", 3, 2), so3, "boundary",
+     "79de29a8221d5f2ead2041244333500730bb4848b6fb92412b87f267b5feae43"),
+    (("interval", 4), lambda: two_term_fiber(2), "total",
+     "0bccb8f9d10a9dffc148174e31160363c5e519976493027dad23058d220991ee"),
+], ids=["torus-so3", "cylinder-so3", "cylinder-so3-boundary", "interval-fiber2"])
+def test_lattice_save_bytes_pinned(tmp_path, surface, fiber, part, sha256):
+    path = tmp_path / "c.cplx"
+    save_complex(getattr(lattice_model(surface, fiber()), part), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_simplicial_from_tops_orientation():
+    K = SimplicialComplex.from_tops([(2, 1), (1, 0)])     # the path 2 -> 1 -> 0
+    assert K.fundamental == {(1, 2): -1, (0, 1): -1}
+    assert K.boundary_chain() == {(0,): 1, (2,): -1}
+    assert SimplicialComplex(K.boundary_chain()).simplices == {0: [(0,), (2,)]}
+    with pytest.raises(ValueError, match="degenerate"):
+        SimplicialComplex.from_tops([(0, 1, 1)])
 
 
 def test_empty_boundary_vacuous():
@@ -183,6 +219,35 @@ def test_tensor_complex_kunneth_euler():
     assert T.betti() == {0: 1, 1: 2, 2: 1}  # torus via Kunneth
 
 
+def _small_complex(st):
+    """A two-term complex C^lo -> C^{lo+1} with a random integer differential."""
+    def build(shape):
+        lo, d0, d1 = shape
+        rows = st.lists(st.integers(-2, 2), min_size=d0, max_size=d0)
+        return st.lists(rows, min_size=d1, max_size=d1).map(
+            lambda M: GradedComplex({lo: d0, lo + 1: d1}, {lo: M}))
+    return st.tuples(st.integers(-1, 1), st.integers(1, 3), st.integers(1, 3)).flatmap(build)
+
+
+def _degree(st):
+    return st.integers(0, 3)
+
+
+@given(_small_complex, _small_complex, _degree, _degree)
+def test_tensor_symplectic_of_doubles(C1, C2, n1, n2):
+    A, B = double_complex(C1, n1), double_complex(C2, n2)
+    T = tensor_symplectic(A, B)
+    assert T.pairing_degree == n1 + n2
+    assert T.compatibility_violation() is None
+    assert T.chain_nondegenerate()
+    kunneth = {}
+    for i, x in A.complex.betti().items():
+        for j, y in B.complex.betti().items():
+            kunneth[i + j] = kunneth.get(i + j, 0) + x * y
+    nonzero = lambda b: {k: d for k, d in b.items() if d}
+    assert nonzero(T.complex.betti()) == nonzero(kunneth)
+
+
 # -- N-map spaces -----------------------------------------------------------------
 
 
@@ -210,6 +275,11 @@ def test_nmap_sigma2_dims():
 def test_nmap_empty_chart():
     N = nmap_space(DarbouxChart(1, []), 1)
     assert N.total_dim == 0 and N.nondegenerate
+
+
+def test_nmap_negative_source_dimension_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        nmap_space(poisson_chart(1), -1)
 
 
 def test_nmap_total_dims_binomial():

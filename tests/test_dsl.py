@@ -313,6 +313,25 @@ def test_cli_semantic_error_names_the_program_file(tmp_path, capsys, monkeypatch
                    "(usage: dorfman ham [samples N])\n")
 
 
+def test_cli_moduli_on_complex_with_boundary_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.gq"
+    f.write_text("algebra G so3; complex CY cylinder 3 1 fiber G; check moduli CY;")
+    assert cli_main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {f}:1:49: moduli needs a closed complex\n"
+
+
+@pytest.mark.parametrize("check", ["pairing S", "dorfman TH samples 2"])
+def test_cli_courant_checks_need_weight_zero_base(tmp_path, capsys, check):
+    # the even pair is written (p:2, x:0): its q has weight 2, not a base coordinate
+    f = tmp_path / "p.gq"
+    f.write_text("sigma S deg 2 pairs { (p1:2, x1:0, sign -1); (theta1:1, chi1:1); }\n"
+                 f"ham TH on S = theta1*p1;\ncheck {check};")
+    assert cli_main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {f}:3:1: dorfman check needs a standard degree-2 chart\n"
+
+
 def test_cli_check_semantic_error_has_no_file(capsys):
     code = cli_main(["check", "exp", "G", "-s", "algebra G so3;"])
     assert code == 2
