@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import StructureError
-from .graded_algebra import _merge_sign, _sum_pairs
+from .graded_algebra import _sum_pairs
 from .linalg import (
     Matrix, as_matrix, column_space_basis, dot, extend_to_basis, mat_mul, mat_vec,
     nullspace, rank, solve, span_contains, span_dim,
@@ -640,7 +640,9 @@ def ball_relative_complex(n: int, m: int = 2) -> GradedComplex:
 
 
 def two_term_fiber(n: int) -> SymplecticComplex:
-    """A 2-dimensional symplectic fiber in degrees 0 and n."""
+    """A 2-dimensional symplectic fiber in degrees 0 and n >= 1."""
+    if n < 1:
+        raise ValueError(f"a two-term fiber needs degree n >= 1, got {n}")
     return SymplecticComplex(GradedComplex({0: 1, n: 1}, {}), n, {0: [[1]], n: [[1]]})
 
 
@@ -750,6 +752,18 @@ class NMapSpace:
     pairing: Matrix             # antisymmetric rational matrix
     total_dim: int
     nondegenerate: bool
+
+
+def _merge_sign(S, T):
+    """Sign of sorting the concatenation of the sorted index tuples S and T:
+    -1 per pair s > t; None when they share an index."""
+    inversions = 0
+    for s in S:
+        for t in T:
+            if s == t:
+                return None
+            inversions += s > t
+    return -1 if inversions % 2 else 1
 
 
 def nmap_space(dchart, n: int | None = None) -> NMapSpace:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from itertools import chain, repeat
+from operator import and_, or_, rshift
 
-from .errors import ChartMismatchError, GradingError
+from .errors import ChartMismatchError, GradingError, UnsupportedInputError
 
 Rat = Fraction
 
@@ -45,8 +47,21 @@ class GVar:
         return self.weight % 2
 
 
+_FIELD = 32                                 # bits per even exponent, guard included
+_FIELD_MASK = (1 << _FIELD) - 1
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1      # largest exponent of an even variable
+
+
 class Chart:
-    """An ordered list of distinct graded variables; fixes the canonical order."""
+    """An ordered list of distinct graded variables; fixes the canonical order.
+
+    It also fixes the layout of the packed monomial keys of its polynomials:
+    one `int` holding one field per variable, the first variable in the most
+    significant field, so that integers order like exponent tuples. An odd
+    variable has a 1-bit field. An even variable has a `_FIELD`-bit field
+    whose top bit is a guard: the sum of two exponents up to `MAX_EXPONENT`
+    fits in the field, and sets the guard exactly when it passes the bound.
+    """
 
     def __init__(self, gvars):
         gvars = tuple(gvars)
@@ -57,6 +72,24 @@ class Chart:
         self._index = {v.name: i for i, v in enumerate(gvars)}
         self.weights = tuple(v.weight for v in gvars)
         self.parities = tuple(v.parity for v in gvars)
+        shifts, top = [], 0
+        for parity in reversed(self.parities):
+            shifts.append(top)
+            top += 1 if parity else _FIELD
+        self._shifts = tuple(reversed(shifts))
+        self._units = tuple(1 << s for s in self._shifts)
+        self._masks = tuple(1 if p else _FIELD_MASK for p in self.parities)
+        self._fields = tuple(m << s for m, s in zip(self._masks, self._shifts))
+        self._odd = sum(u for u, p in zip(self._units, self.parities) if p)
+        self._guard = sum(u << (_FIELD - 1) for u, p in zip(self._units, self.parities) if not p)
+        # weight of a key: odd fields by popcount per weight, even fields one by one
+        odd_weights = {}
+        for u, v in zip(self._units, gvars):
+            if v.parity:
+                odd_weights[v.weight] = odd_weights.get(v.weight, 0) | u
+        self._odd_weights = tuple((m, w) for w, m in odd_weights.items())
+        self._even_weights = tuple((s, v.weight) for s, v in zip(self._shifts, gvars)
+                                   if v.weight and not v.parity)
 
     @classmethod
     def build(cls, *pairs) -> "Chart":
@@ -89,118 +122,145 @@ class Chart:
         """Highest coordinate weight; 0 for the point chart."""
         return max(self.weights, default=0)
 
+    # -- packed monomial keys ---------------------------------------------
+
+    def _pack(self, exponents):
+        """The key of an exponent tuple; None when an odd exponent exceeds 1
+        (the monomial vanishes)."""
+        exponents = tuple(exponents)
+        if len(exponents) != len(self.gvars):
+            raise ValueError("exponent tuple has wrong length")
+        key = 0
+        for v, e, s in zip(self.gvars, exponents, self._shifts):
+            if e < 0:
+                raise ValueError("negative exponent")
+            if v.parity:
+                if e > 1:
+                    return None
+            elif e > MAX_EXPONENT:
+                _exponent_error(v)
+            key |= e << s
+        return key
+
+    def _unpack(self, key) -> tuple:
+        """The exponent tuple of a key."""
+        return tuple(map(and_, map(rshift, repeat(key, len(self._shifts)), self._shifts),
+                         self._masks))
+
     # -- polynomial constructors ------------------------------------------
 
     def zero(self) -> "GPoly":
-        return GPoly(self, {})
+        return _make(self, {})
 
     def const(self, c) -> "GPoly":
         c = _rat(c)
-        if c == 0:
-            return self.zero()
-        return GPoly(self, {(0,) * len(self.gvars): c})
+        return _make(self, {0: c} if c else {})
 
     def one(self) -> "GPoly":
-        return self.const(1)
+        return _make(self, {0: 1})
 
     def var(self, name: str) -> "GPoly":
-        i = self.index(name)
-        key = tuple(1 if j == i else 0 for j in range(len(self.gvars)))
-        return GPoly(self, {key: 1})
+        return _make(self, {self._units[self.index(name)]: 1})
 
     def monomial(self, c, exponents) -> "GPoly":
-        """Monomial with explicit exponent tuple (odd exponents clipped to {0,1} rules)."""
+        """Monomial with explicit exponent tuple; an odd exponent above 1 gives zero."""
         c = _rat(c)
-        key = tuple(exponents)
-        if len(key) != len(self.gvars):
-            raise ValueError("exponent tuple has wrong length")
-        for i, e in enumerate(key):
-            if e < 0:
-                raise ValueError("negative exponent")
-            if self.parities[i] == 1 and e > 1:
-                return self.zero()  # odd square vanishes
-        if c == 0:
-            return self.zero()
-        return GPoly(self, {key: c})
+        key = self._pack(exponents)
+        return _make(self, {key: c} if c and key is not None else {})
 
     def sum(self, polys) -> "GPoly":
         """The sum of polynomials on this chart, collected in one pass."""
-        def pairs():
+        def term_lists():
             for p in polys:
                 if p.chart != self:
                     raise ChartMismatchError("operands live on different charts")
-                yield from p.terms.items()
-        return _collect(self, pairs())
+                yield p._terms.items()
+        return _collect(self, chain.from_iterable(term_lists()))
+
+
+def _exponent_error(v: GVar):
+    raise UnsupportedInputError(
+        f"exponent of {v.name!r} exceeds the largest supported exponent {MAX_EXPONENT}")
 
 
 def _key_weight(chart: Chart, key) -> int:
-    return sum(e * w for e, w in zip(key, chart.weights))
+    w = 0
+    for m, wt in chart._odd_weights:
+        w += wt * (key & m).bit_count()
+    for s, wt in chart._even_weights:
+        w += wt * ((key >> s) & _FIELD_MASK)
+    return w
 
 
 def _key_parity(chart: Chart, key) -> int:
-    return sum(e for e, p in zip(key, chart.parities) if p) % 2
+    return (key & chart._odd).bit_count() & 1
 
 
-def _odd_word(chart: Chart, key):
-    """Indices of the odd factors of a monomial, in canonical order."""
-    return tuple(i for i, e in enumerate(key) if e and chart.parities[i])
+def _flips(odd, oa):
+    """The odd positions with an odd number of bits of `oa` below them.
 
-
-def _merge_sign(odd_a, odd_b):
-    """Koszul sign for concatenating two sorted odd-index words; None if a square appears."""
-    if not odd_a or not odd_b:
-        return 1
-    inversions = 0
-    for i in odd_a:
-        for j in odd_b:
-            if i == j:
-                return None
-            if i > j:
-                inversions += 1
-    return -1 if inversions % 2 else 1
+    Sorting the word `a b` moves each odd factor of b in front of the odd
+    factors of a that come later in the chart, which sit in lower positions;
+    so the product's Koszul sign is the parity of b's odd bits in here."""
+    flips = 0
+    while oa:
+        low = oa & -oa
+        flips ^= odd & -(low << 1)
+        oa ^= low
+    return flips
 
 
 def _products(chart: Chart, left_terms, right_terms):
     """The (key, coefficient) pairs of the Koszul product of two term lists:
-    every left term times every right term, with the merge sign of their
-    odd words; pairs sharing an odd factor vanish."""
-    right = [(kb, cb, _odd_word(chart, kb)) for kb, cb in right_terms]
+    every left term times every right term, signed by the parity of the
+    right term's odd bits among the left term's `_flips`; pairs sharing an
+    odd factor vanish. The caller checks the guards with `_checked`."""
+    odd = chart._odd
+    right = list(right_terms)
     for ka, ca in left_terms:
-        odd_a = _odd_word(chart, ka)
-        for kb, cb, odd_b in right:
-            sign = _merge_sign(odd_a, odd_b)
-            if sign is not None:
+        oa = ka & odd
+        flips = _flips(odd, oa)
+        for kb, cb in right:
+            if not oa & kb:
                 c = ca * cb
-                yield tuple(map(add, ka, kb)), (c if sign > 0 else -c)
+                yield ka + kb, (-c if (flips & kb).bit_count() & 1 else c)
 
 
-def _partials(chart: Chart, key, right: bool, wanted):
-    """The derivatives of a monomial with coefficient 1 by its variables in
-    `wanted`, as (index, key, factor) triples.
+def _checked(p: "GPoly") -> "GPoly":
+    """p, after checking that no exponent of a product passed the bound."""
+    guard = p.chart._guard
+    if guard and reduce(or_, p._terms, 0) & guard:
+        chart = p.chart
+        key = next(k for k in p._terms if k & guard)
+        for v, e in zip(chart.gvars, chart._unpack(key)):
+            if not v.parity and e > MAX_EXPONENT:
+                _exponent_error(v)
+    return p
 
-    The factor is the exponent for an even variable. For an odd one it is
-    -1 per odd factor standing on the requested side of it: before it for
-    the left derivative, after it for the right one.
+
+def _partials(chart: Chart, terms, i: int, right: bool):
+    """The derivative by variable i of a term list, as a (key, coefficient)
+    list; distinct terms give distinct keys.
+
+    An even variable picks up its exponent. An odd one picks up -1 per odd
+    factor standing on the requested side of it: before it (higher bits)
+    for the left derivative, after it (lower bits) for the right one.
     """
-    parities = chart.parities
-    flip = 1
-    for i in (range(len(key) - 1, -1, -1) if right else range(len(key))):
-        e = key[i]
-        if not e:
-            continue
-        if parities[i]:
-            if i in wanted:
-                yield i, key[:i] + (0,) + key[i + 1:], flip
-            flip = -flip
-        elif i in wanted:
-            yield i, key[:i] + (e - 1,) + key[i + 1:], e
+    unit = chart._units[i]
+    if chart.parities[i]:
+        side = chart._odd & ((unit - 1) if right else -(unit << 1))
+        return [(k ^ unit, -c if (k & side).bit_count() & 1 else c)
+                for k, c in terms if k & unit]
+    s = chart._shifts[i]
+    return [(k - unit, c * e) for k, c in terms if (e := (k >> s) & _FIELD_MASK)]
 
 
 def _sum_pairs(pairs) -> dict:
     """Sum (key, coefficient) pairs into a dict without zero coefficients.
 
-    Every operation that builds terms goes through here: it is the one place
-    where coefficients of equal keys are added and zero results dropped.
+    Every operation whose terms can meet or cancel goes through here: it is
+    the one place where coefficients of equal keys are added and zero
+    results dropped.
     """
     out = {}
     for key, c in pairs:
@@ -210,41 +270,58 @@ def _sum_pairs(pairs) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _collect(chart: Chart, pairs) -> "GPoly":
-    """The canonical polynomial with the summed (exponent key, coefficient) pairs."""
+def _make(chart: Chart, terms: dict) -> "GPoly":
+    """The polynomial with the packed terms `terms`, stored as given."""
     p = object.__new__(GPoly)
     p.chart = chart
-    p.terms = _sum_pairs(pairs)
+    p._terms = terms
     return p
+
+
+def _collect(chart: Chart, pairs) -> "GPoly":
+    """The canonical polynomial with the summed (key, coefficient) pairs."""
+    return _make(chart, _sum_pairs(pairs))
 
 
 def _divided(p: "GPoly", d: int) -> "GPoly":
     """p with every coefficient divided by the integer d, an `int` where integral."""
-    return _collect(p.chart, ((k, _rat(Fraction(c, d))) for k, c in p.terms.items()))
+    return _make(p.chart, {k: _rat(Fraction(c, d)) for k, c in p._terms.items()})
 
 
 class GPoly:
     """A supercommutative polynomial in canonical form.
 
-    Stored as a mapping from exponent tuples (one entry per chart variable,
-    odd entries 0 or 1) to nonzero rational coefficients. Instances are
-    immutable by convention; all operations return fresh objects.
+    Stored as a mapping from packed monomial keys (see `Chart`) to nonzero
+    rational coefficients; `terms` shows it with exponent tuples. Instances
+    are immutable by convention; all operations return fresh objects.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_terms")
 
     def __init__(self, chart: Chart, terms):
+        """The polynomial {exponent tuple: coefficient}; terms with an odd
+        exponent above 1 vanish."""
         self.chart = chart
-        self.terms = {k: v for k, v in terms.items() if v != 0}
+        packed = {}
+        for exponents, c in terms.items():
+            if c != 0 and (key := chart._pack(exponents)) is not None:
+                packed[key] = c
+        self._terms = packed
+
+    @property
+    def terms(self) -> dict:
+        """A fresh {exponent tuple: coefficient} dict of the terms."""
+        unpack = self.chart._unpack
+        return {unpack(k): c for k, c in self._terms.items()}
 
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def weight(self):
         """Common weight of all terms, 0 for the zero polynomial, None if mixed."""
-        ws = {_key_weight(self.chart, k) for k in self.terms}
+        ws = {_key_weight(self.chart, k) for k in self._terms}
         if not ws:
             return 0
         if len(ws) > 1:
@@ -253,7 +330,7 @@ class GPoly:
 
     def is_homogeneous(self, weight=None) -> bool:
         """Weight-homogeneous; the zero polynomial is homogeneous of every weight."""
-        if not self.terms:
+        if not self._terms:
             return True
         w = self.weight()
         if w is None:
@@ -262,7 +339,7 @@ class GPoly:
 
     def parity(self):
         """Parity of all terms, 0 for zero, None if mixed."""
-        ps = {_key_parity(self.chart, k) for k in self.terms}
+        ps = {_key_parity(self.chart, k) for k in self._terms}
         if not ps:
             return 0
         if len(ps) > 1:
@@ -270,27 +347,27 @@ class GPoly:
         return ps.pop()
 
     def weight_component(self, w: int) -> "GPoly":
-        return GPoly(self.chart, {k: c for k, c in self.terms.items()
+        return _make(self.chart, {k: c for k, c in self._terms.items()
                                   if _key_weight(self.chart, k) == w})
 
     def weight_decomposition(self):
         """Mapping weight -> homogeneous component, covering every term."""
         out = {}
-        for k, c in self.terms.items():
-            w = _key_weight(self.chart, k)
-            out.setdefault(w, {})[k] = c
-        return {w: GPoly(self.chart, t) for w, t in sorted(out.items())}
+        for k, c in self._terms.items():
+            out.setdefault(_key_weight(self.chart, k), {})[k] = c
+        return {w: _make(self.chart, t) for w, t in sorted(out.items())}
 
     def at_zero(self, names) -> "GPoly":
         """The terms involving none of the named coordinates: the polynomial
         on the locus where those coordinates vanish."""
-        idx = [self.chart.index(n) for n in names]
-        return GPoly(self.chart, {k: c for k, c in self.terms.items()
-                                  if not any(k[i] for i in idx)})
+        chart = self.chart
+        fields = 0
+        for n in names:
+            fields |= chart._fields[chart.index(n)]
+        return _make(chart, {k: c for k, c in self._terms.items() if not k & fields})
 
     def constant_term(self):
-        zero_key = (0,) * len(self.chart)
-        return self.terms.get(zero_key, 0)
+        return self._terms.get(0, 0)
 
     def _check_chart(self, other):
         if self.chart != other.chart:
@@ -306,7 +383,7 @@ class GPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _collect(self.chart, ((k, -c) for k, c in self.terms.items()))
+        return _make(self.chart, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, GPoly):
@@ -320,9 +397,10 @@ class GPoly:
         chart = self.chart
         if not isinstance(other, GPoly):
             c = _rat(other)
-            return _collect(chart, ((k, v * c) for k, v in self.terms.items()))
+            return _collect(chart, ((k, v * c) for k, v in self._terms.items()))
         self._check_chart(other)
-        return _collect(chart, _products(chart, self.terms.items(), other.terms.items()))
+        return _checked(_collect(chart, _products(chart, self._terms.items(),
+                                                  other._terms.items())))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -337,7 +415,7 @@ class GPoly:
             if n & 1:
                 result = result * square
             n >>= 1
-            if not n or not result.terms:
+            if not n or not result._terms:
                 break
             square = square * square
         return result
@@ -345,28 +423,26 @@ class GPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.chart.const(other)
-        return isinstance(other, GPoly) and self.chart == other.chart and self.terms == other.terms
+        return (isinstance(other, GPoly) and self.chart == other.chart
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, frozenset(self._terms.items())))
 
     # -- printing ---------------------------------------------------------
 
-    def _key_sort(self, key):
-        return (_key_weight(self.chart, key), key)
-
     def __str__(self):
-        if not self.terms:
+        if not self._terms:
             return "0"
+        chart = self.chart
         pieces = []
-        for key in sorted(self.terms, key=self._key_sort):
-            c = self.terms[key]
+        # packed keys order like exponent tuples
+        for key in sorted(self._terms, key=lambda k: (_key_weight(chart, k), k)):
+            c = self._terms[key]
             factors = []
-            for i, e in enumerate(key):
-                if e == 0:
-                    continue
-                name = self.chart.gvars[i].name
-                factors.append(name if e == 1 else f"{name}^{e}")
+            for v, e in zip(chart.gvars, chart._unpack(key)):
+                if e:
+                    factors.append(v.name if e == 1 else f"{v.name}^{e}")
             body = "*".join(factors)
             if not body:
                 pieces.append(str(c))
@@ -406,10 +482,21 @@ def _derivative(p: GPoly, v, right: bool) -> GPoly:
     the public convention is the left one.
     """
     chart = p.chart
-    i = chart.index(v)
-    wanted = (i,)
-    return _collect(chart, ((k, c * f) for key, c in p.terms.items() if key[i]
-                            for _, k, f in _partials(chart, key, right, wanted)))
+    return _make(chart, dict(_partials(chart, p._terms.items(), chart.index(v), right)))
+
+
+def _bracket(chart: Chart, layout, f: GPoly, g: GPoly) -> GPoly:
+    """sum_i s_i dR_i f * dL_conj(i) g for the conjugate layout
+    `layout[i] = (conj(i), s_i)` of a Darboux chart, over the i that f
+    contains whose conjugate g contains."""
+    in_f, in_g = reduce(or_, f._terms, 0), reduce(or_, g._terms, 0)
+    fields = chart._fields
+    products = []
+    for i, (j, s) in enumerate(layout):
+        if in_f & fields[i] and in_g & fields[j]:
+            right = [(k, c * s) for k, c in _partials(chart, f._terms.items(), i, True)]
+            products.append(_products(chart, right, _partials(chart, g._terms.items(), j, False)))
+    return _checked(_collect(chart, chain.from_iterable(products)))
 
 
 def weight_of(p: GPoly):
@@ -422,7 +509,7 @@ def rescale(p: GPoly, lam) -> GPoly:
     lam = _rat(lam)
     chart = p.chart
     return _collect(chart, ((key, c * lam ** _key_weight(chart, key))
-                            for key, c in p.terms.items()))
+                            for key, c in p._terms.items()))
 
 
 def scaling_check(p: GPoly, lam) -> bool:
@@ -445,14 +532,14 @@ def substitute(p: GPoly, v, q: GPoly) -> GPoly:
     i = chart.index(v)
     if not q.is_homogeneous(chart.weights[i]):
         raise GradingError("substitution value must match the variable's weight")
+    unit, s, mask = chart._units[i], chart._shifts[i], chart._masks[i]
+    # q replaces v at the right end of the word; moving the odd v there
+    # passes the odd factors that follow it
+    after = chart._odd & (unit - 1) if chart.parities[i] else 0
     terms = []
-    for key, c in p.terms.items():
-        e = key[i]
-        if e and chart.parities[i]:
-            # q replaces v at the right end of the word; moving the odd v
-            # there passes the odd factors that follow it
-            after = sum(1 for j in range(i + 1, len(key)) if key[j] and chart.parities[j])
-            if after % 2:
-                c = -c
-        terms.append(chart.monomial(c, key[:i] + (0,) + key[i + 1:]) * q ** e)
+    for key, c in p._terms.items():
+        e = (key >> s) & mask
+        if e and (key & after).bit_count() & 1:
+            c = -c
+        terms.append(_make(chart, {key - e * unit: c}) * q ** e)
     return chart.sum(terms)

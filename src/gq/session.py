@@ -655,13 +655,14 @@ def check_poisson(session, st, h):
     return "pass", None, wit
 
 
-def _courant_base(dchart, pos):
+def _courant_base(dchart, st):
     """Names of the q's of the even pairs (the weight-0 base coordinates) and
-    of the odd pairs (their differentials theta) of a standard degree-2 chart."""
+    of the odd pairs (their differentials theta) of a standard degree-2 chart;
+    otherwise a semantic error naming the check statement `st`."""
     even = [p for p in dchart.pairs if p.q_weight % 2 == 0]
     odd = [p.q_name for p in dchart.pairs if p.q_weight % 2]
     if dchart.n != 2 or len(even) != len(odd) or any(p.q_weight for p in even):
-        raise SemanticError("dorfman check needs a standard degree-2 chart", *pos)
+        raise SemanticError(f"{st.check} check needs a standard degree-2 chart", *st.pos)
     return [p.q_name for p in even], odd
 
 
@@ -678,7 +679,7 @@ def check_dorfman(session, st, h, samples=20):
     """{{Theta, e1}, e2} against the Dorfman bracket of the Cartan calculus
     on the same chart, with the 1-form xi_a encoded as xi_a theta^a."""
     dchart = h.dchart
-    tc = TangentChart.over(dchart.chart, *_courant_base(dchart, st.pos))
+    tc = TangentChart.over(dchart.chart, *_courant_base(dchart, st))
     chart, m, rng = dchart.chart, tc.m, session.rng
 
     def rand_poly():
@@ -702,7 +703,7 @@ def check_dorfman(session, st, h, samples=20):
 
 
 def check_pairing(session, st, dchart):
-    xnames, _ = _courant_base(dchart, st.pos)
+    xnames, _ = _courant_base(dchart, st)
     m = len(xnames)
     rng = session.rng
     for _ in range(20):

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .errors import ChartMismatchError, GradingError, StructureError, UnsupportedInputError
 from .graded_algebra import (
-    Chart, GPoly, GVar, _collect, _divided, _partials, _products, _rat,
-    left_derivative,
+    Chart, GPoly, GVar, _bracket, _divided, _rat, left_derivative,
 )
 from .nq_core import Derivation
 
@@ -122,27 +120,13 @@ def poisson_bracket(dchart: DarbouxChart, f: GPoly, g: GPoly) -> GPoly:
     {f, g} = sum over pairs of
         sign * [ dR_q f * dL_p g  -  (-1)^(|q||p|) dR_p f * dL_q g ],
     that is sum_i s_i dR_i f * dL_conj(i) g over the chart's conjugate
-    layout. One sweep over g groups its left derivatives by variable, one
-    sweep over f takes the right derivatives by the conjugates of those
-    variables, scaled by s_i, and only those products are formed.
-    On coordinates {q_i, p_j} = sign_i * delta_ij.
+    layout (`graded_algebra._bracket`). On coordinates
+    {q_i, p_j} = sign_i * delta_ij.
     """
     chart = dchart.chart
     if f.chart != chart or g.chart != chart:
         raise ChartMismatchError("arguments do not live on this Darboux chart")
-    layout = dchart.layout
-    everything = range(len(chart))
-    # left[i] holds dL_conj(i) g, right[i] holds s_i dR_i f
-    left = {}
-    for key, c in g.terms.items():
-        for j, k, e in _partials(chart, key, False, everything):
-            left.setdefault(layout[j][0], []).append((k, c * e))
-    right = {}
-    for key, c in f.terms.items():
-        for i, k, e in _partials(chart, key, True, left):
-            right.setdefault(i, []).append((k, c * e * layout[i][1]))
-    return _collect(chart, chain.from_iterable(
-        _products(chart, terms, left[i]) for i, terms in right.items()))
+    return _bracket(chart, dchart.layout, f, g)
 
 
 class Hamiltonian:

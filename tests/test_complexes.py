@@ -277,6 +277,13 @@ def test_nmap_empty_chart():
     assert N.total_dim == 0 and N.nondegenerate
 
 
+def test_two_term_fiber_needs_positive_degree():
+    assert two_term_fiber(1).complex.components == {0: 1, 1: 1}
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            two_term_fiber(n)
+
+
 def test_nmap_negative_source_dimension_rejected():
     with pytest.raises(ValueError, match="negative"):
         nmap_space(poisson_chart(1), -1)

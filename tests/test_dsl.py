@@ -329,7 +329,29 @@ def test_cli_courant_checks_need_weight_zero_base(tmp_path, capsys, check):
                  f"ham TH on S = theta1*p1;\ncheck {check};")
     assert cli_main(["run", str(f)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {f}:3:1: dorfman check needs a standard degree-2 chart\n"
+    name = check.split()[0]
+    assert err == f"error: {f}:3:1: {name} check needs a standard degree-2 chart\n"
+
+
+def test_cli_exponent_past_the_bound_exits_2(tmp_path, capsys):
+    f = tmp_path / "p.gq"
+    f.write_text("sigma S deg 2 pairs { (x1:0, p1:2, sign -1); (theta1:1, chi1:1); }\n"
+                 "ham H on S = x1^3000000000*theta1*p1;\ncheck master H;")
+    assert cli_main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: {f}:2:1: exponent of 'x1' exceeds the largest supported "
+                   "exponent 2147483647\n")
+
+
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_cli_two_term_fiber_needs_positive_degree(tmp_path, capsys, degree):
+    f = tmp_path / "p.gq"
+    f.write_text(f"complex S interval 2 fiber2 {degree};\ncheck lemma3 S;")
+    assert cli_main(["run", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {f}:1:1: a two-term fiber needs degree n >= 1, got {degree}\n"
 
 
 def test_cli_check_semantic_error_has_no_file(capsys):

@@ -5,16 +5,18 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import pytest
 
 import gq
 from gq import (
-    Chart, ChartMismatchError, DarbouxChart, GPoly, GradingError, GVar, left_derivative,
-    multiply, nmap_space, rescale, scaling_check, substitute, weight_of,
+    Chart, ChartMismatchError, DarbouxChart, GPoly, GradingError, GVar, UnsupportedInputError,
+    left_derivative, multiply, nmap_space, poisson_bracket, rescale, scaling_check, substitute,
+    weight_of,
 )
-from gq.graded_algebra import _derivative
+from gq.graded_algebra import MAX_EXPONENT, _derivative
 from conftest import given, homogeneous_pieces, random_poly
 
 
@@ -187,32 +189,91 @@ def test_int_and_fraction_coefficients_agree(chart, rng):
 # -- properties of the Koszul kernel on generated charts ---------------------
 #
 # Each property runs under hypothesis when it is installed and skips without
-# it. The references below are the scalar formulas the kernel had before its
-# term arithmetic went through one collector.
+# it. The references below work on exponent tuples, as the kernel did before
+# it packed each monomial into one int: odd words and their merge sign for
+# products, a sign walk along the tuple for derivatives, two sweeps for the
+# Darboux bracket, and the scalar formula for substitution.
 
 
-def _right_derivative_reference(p, v):
-    """Right derivative term by term: strip v, one sign per odd factor after it."""
+def _odd_word(chart, key):
+    """Indices of the odd factors of an exponent tuple, in canonical order."""
+    return tuple(i for i, e in enumerate(key) if e and chart.parities[i])
+
+
+def _merge_sign(odd_a, odd_b):
+    """Koszul sign for concatenating two sorted odd-index words; None if a square appears."""
+    if not odd_a or not odd_b:
+        return 1
+    inversions = 0
+    for i in odd_a:
+        for j in odd_b:
+            if i == j:
+                return None
+            if i > j:
+                inversions += 1
+    return -1 if inversions % 2 else 1
+
+
+def _products_reference(chart, left_terms, right_terms):
+    """The (exponent tuple, coefficient) pairs of the Koszul product of two
+    term lists, signed by `_merge_sign` of their odd words."""
+    for ka, ca in left_terms:
+        for kb, cb in right_terms:
+            sign = _merge_sign(_odd_word(chart, ka), _odd_word(chart, kb))
+            if sign is not None:
+                yield tuple(map(add, ka, kb)), sign * ca * cb
+
+
+def _partials_reference(chart, key, right, wanted):
+    """The derivatives of an exponent tuple by its variables in `wanted`, as
+    (index, key, factor) triples: the exponent for an even variable, -1 per
+    odd factor on the requested side for an odd one."""
+    flip = 1
+    for i in (range(len(key) - 1, -1, -1) if right else range(len(key))):
+        e = key[i]
+        if not e:
+            continue
+        if chart.parities[i]:
+            if i in wanted:
+                yield i, key[:i] + (0,) + key[i + 1:], flip
+            flip = -flip
+        elif i in wanted:
+            yield i, key[:i] + (e - 1,) + key[i + 1:], e
+
+
+def _summed(pairs):
+    out = {}
+    for key, c in pairs:
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def _past_bound(terms):
+    """Whether a nonzero term of a tuple-key dict has an exponent past the bound."""
+    return any(e > MAX_EXPONENT for key, c in terms.items() if c for e in key)
+
+
+def _derivative_reference(p, v, right):
     chart = p.chart
     i = chart.index(v)
-    parity_v = chart.parities[i]
-    out = {}
-    for key, c in p.terms.items():
-        e = key[i]
-        if e == 0:
-            continue
-        new_key = key[:i] + (e - 1,) + key[i + 1:]
-        if parity_v == 0:
-            coeff = c * e
-        else:
-            after = sum(1 for j in range(i + 1, len(key)) if key[j] and chart.parities[j])
-            coeff = -c if after % 2 else c
-        s = out.get(new_key, Fraction(0)) + coeff
-        if s == 0:
-            out.pop(new_key, None)
-        else:
-            out[new_key] = s
-    return GPoly(chart, out)
+    return GPoly(chart, _summed((k, c * f) for key, c in p.terms.items()
+                                for _, k, f in _partials_reference(chart, key, right, (i,))))
+
+
+def _bracket_reference(dchart, f, g):
+    """The Darboux bracket as two sweeps over exponent tuples: left[i] holds
+    dL_conj(i) g, each right derivative dR_i f is scaled by s_i and
+    multiplied by left[i]; as a {exponent tuple: coefficient} dict."""
+    chart, layout = dchart.chart, dchart.layout
+    left = {}
+    for key, c in g.terms.items():
+        for j, k, e in _partials_reference(chart, key, False, range(len(chart))):
+            left.setdefault(layout[j][0], []).append((k, c * e))
+    pairs = []
+    for key, c in f.terms.items():
+        for i, k, e in _partials_reference(chart, key, True, left):
+            pairs += _products_reference(chart, [(k, c * e * layout[i][1])], left[i])
+    return _summed(pairs)
 
 
 def _substitute_reference(p, v, q):
@@ -255,18 +316,32 @@ def _nmap_pairing_reference(dchart, n):
     return total, entries
 
 
-def _polys(count):
+# even exponents close to the bound, whose products pass it
+_NEAR_BOUND = (0, 1, MAX_EXPONENT // 2, MAX_EXPONENT // 2 + 1, MAX_EXPONENT)
+
+
+def _term_dicts(st, weights, even_exponents):
+    """Term dicts of up to four terms on a chart of the given weights."""
+    keys = st.tuples(*(st.integers(0, 1) if w % 2 else even_exponents for w in weights))
+    return st.dictionaries(keys, st.fractions(-3, 3, max_denominator=2), max_size=4)
+
+
+def _polys(count, kinds=False):
     """A chart of 1-5 variables of weights 0-3, one of its variable names and
-    `count` polynomials of up to four terms on it."""
+    `count` polynomials of up to four terms on it. With `kinds`, the chart
+    may also be all even or all odd, and even exponents may lie near the
+    bound."""
     def build(st):
         @st.composite
         def case(draw):
-            weights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=5))
+            pool = draw(st.sampled_from([(0, 1, 2, 3), (0, 2), (1, 3)] if kinds else [(0, 1, 2, 3)]))
+            weights = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+            exponents = st.integers(0, 2)
+            if kinds:
+                exponents = draw(st.sampled_from([exponents, st.sampled_from(_NEAR_BOUND)]))
             chart = Chart.build(*((f"v{i}", w) for i, w in enumerate(weights)))
-            keys = st.tuples(*(st.integers(0, 1 if w % 2 else 2) for w in weights))
-            coeffs = st.fractions(-3, 3, max_denominator=2)
-            polys = [GPoly(chart, draw(st.dictionaries(keys, coeffs, max_size=4)))
-                     for _ in range(count)]
+            terms = _term_dicts(st, weights, exponents)
+            polys = [GPoly(chart, draw(terms)) for _ in range(count)]
             return chart, f"v{draw(st.integers(0, len(weights) - 1))}", polys
         return case()
     return build
@@ -313,7 +388,6 @@ def test_left_leibniz_property(case):
 @given(_polys(1))
 def test_right_derivative_property(case):
     chart, v, (p,) = case
-    assert _derivative(p, v, right=True) == _right_derivative_reference(p, v)
     parity_v = chart.gvar(v).parity
     for key, c in p.terms.items():
         m = GPoly(chart, {key: c})
@@ -389,16 +463,77 @@ def test_at_zero_is_substituting_zero(case):
 
 
 def test_monomial_keys_stay_in_the_kernel():
-    """Outside graded_algebra, only the two sweeps of poisson_bracket read
-    GPoly.terms; everything else goes through the kernel's entry points."""
+    """Outside graded_algebra no module reads GPoly.terms or the packed
+    storage behind it, or touches the kernel's key-level routines."""
+    private = {"terms", "_terms", "_partials", "_products", "_collect"}
     readers = []
     for path in sorted(Path(gq.__file__).parent.glob("*.py")):
         if path.name == "graded_algebra.py":
             continue
-        tree = ast.parse(path.read_text())
-        allowed = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
-                   and f.name == "poisson_bracket" for n in ast.walk(f)}
-        readers += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
-                    if isinstance(n, ast.Attribute) and n.attr == "terms"
-                    and id(n) not in allowed]
+        for n in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in n.names] if isinstance(n, ast.ImportFrom)
+                     else [n.attr] if isinstance(n, ast.Attribute) else [])
+            readers += [f"{path.name}:{n.lineno}: {name}" for name in names if name in private]
     assert readers == []
+
+
+# -- the packed kernel against its tuple-key oracles -------------------------
+
+
+@given(_polys(2, kinds=True))
+def test_product_matches_tuple_oracle(case):
+    chart, _, (p, q) = case
+    want = _summed(_products_reference(chart, p.terms.items(), q.terms.items()))
+    if _past_bound(want):
+        with pytest.raises(UnsupportedInputError):
+            p * q
+    else:
+        assert p * q == GPoly(chart, want)
+
+
+@given(_polys(1, kinds=True))
+def test_derivatives_match_tuple_oracle(case):
+    chart, v, (p,) = case
+    for right in (False, True):
+        assert _derivative(p, v, right) == _derivative_reference(p, v, right)
+
+
+@given(_polys(1, kinds=True))
+def test_terms_round_trip(case):
+    chart, _, (p,) = case
+    assert GPoly(chart, p.terms) == p and str(GPoly(chart, p.terms)) == str(p)
+    assert all(len(key) == len(chart) for key in p.terms)
+
+
+def _darboux_pair(st):
+    """A Darboux chart (see `_darboux`) and two polynomials on it, with even
+    exponents small or near the bound."""
+    @st.composite
+    def case(draw):
+        dchart, _ = draw(_darboux(st))
+        exponents = draw(st.sampled_from([st.integers(0, 2), st.sampled_from(_NEAR_BOUND)]))
+        terms = _term_dicts(st, dchart.chart.weights, exponents)
+        return dchart, GPoly(dchart.chart, draw(terms)), GPoly(dchart.chart, draw(terms))
+    return case()
+
+
+@given(_darboux_pair)
+def test_bracket_matches_tuple_oracle(case):
+    dchart, f, g = case
+    want = _bracket_reference(dchart, f, g)
+    if _past_bound(want):
+        with pytest.raises(UnsupportedInputError):
+            poisson_bracket(dchart, f, g)
+    else:
+        assert poisson_bracket(dchart, f, g) == GPoly(dchart.chart, want)
+
+
+def test_exponent_bound(chart):
+    x, y = chart.var("x"), chart.var("y")
+    assert str(x ** MAX_EXPONENT * y) == f"x^{MAX_EXPONENT}*y"
+    assert chart.monomial(2, (MAX_EXPONENT, 0, 1, 0, 0)) == 2 * x ** MAX_EXPONENT * chart.var("xi1")
+    for past in (lambda: x ** 2 ** 31, lambda: y * x ** MAX_EXPONENT * x,
+                 lambda: chart.monomial(1, (0, 2 ** 31, 0, 0, 0)),
+                 lambda: GPoly(chart, {(2 ** 40, 0, 0, 0, 0): 1})):
+        with pytest.raises(UnsupportedInputError, match="exponent of '[xy]' exceeds"):
+            past()
