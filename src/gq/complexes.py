@@ -15,10 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import StructureError
-from .graded_algebra import _sum_pairs
 from .linalg import (
-    Matrix, as_matrix, column_space_basis, dot, extend_to_basis, mat_mul, mat_vec,
-    nullspace, rank, solve, span_contains, span_dim,
+    Matrix, as_matrix, collect, column_space_basis, dot, extend_to_basis, mat_mul,
+    mat_vec, nullspace, rank, solve, span_contains, span_dim,
 )
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,7 @@ class GradedComplex:
             Z = self.cocycles(k)
             B = self.coboundaries(k)
             reps = extend_to_basis(B, Z)
-            dim_h = len(Z) - span_dim(B)
+            dim_h = len(Z) - len(B)
             if dim_h or self.dim(k):
                 out[k] = (dim_h, reps)
         return out
@@ -354,7 +353,7 @@ def lemma3_orthogonality(R: RelativeComplex) -> LemmaThreeReport:
             rows.append(mat_vec(PT, b))            # <b, v> = 0
         perp[k] = nullspace(Matrix(rows, C.dim(k)))
     inclusion = all(span_contains(perp[k], z[k]) for k in degs)
-    equality = inclusion and all(span_dim(perp[k]) == span_dim(z[k]) for k in degs)
+    equality = inclusion and all(len(perp[k]) == len(z[k]) for k in degs)
     # quotient Z / B0 with its induced pairing
     reps = {k: extend_to_basis(b0.get(k, []), z[k]) for k in degs}
     qdims = {k: len(r) for k, r in reps.items() if r}
@@ -374,9 +373,9 @@ def lemma3_orthogonality(R: RelativeComplex) -> LemmaThreeReport:
     return LemmaThreeReport(
         mode="strict" if strict else "degraded",
         equality=equality, inclusion=inclusion,
-        z_dims={k: span_dim(z[k]) for k in degs if z[k]},
+        z_dims={k: len(z[k]) for k in degs if z[k]},
         b0_dims={k: span_dim(v) for k, v in b0.items() if v},
-        perp_dims={k: span_dim(perp[k]) for k in degs if perp[k]},
+        perp_dims={k: len(perp[k]) for k in degs if perp[k]},
         quotient_dims=qdims,
         quotient_nondegenerate=nondeg,
     )
@@ -509,15 +508,15 @@ class SimplicialComplex:
             if len(set(t)) != len(t):
                 raise ValueError(f"degenerate simplex {t}")
             pairs.append((tuple(sorted(t)), _perm_sign(t)))
-        return cls(_sum_pairs(pairs))
+        return cls(collect(pairs))
 
     def dim(self, k: int) -> int:
         return len(self.simplices.get(k, []))
 
     def boundary_chain(self):
         """Coefficients of the boundary of the fundamental chain, by simplex."""
-        return _sum_pairs((s[:i] + s[i + 1:], sign * (-1) ** i)
-                          for s, sign in self.fundamental.items() for i in range(len(s)))
+        return collect((s[:i] + s[i + 1:], sign * (-1) ** i)
+                       for s, sign in self.fundamental.items() for i in range(len(s)))
 
     def graded_complex(self) -> GradedComplex:
         return self.relative_complex(())

@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import ChartMismatchError, GradingError, StructureError
 from .forms import TangentChart, dorfman_bracket
-from .graded_algebra import GPoly, _divided, _rat, _sum_pairs, substitute
-from .linalg import as_matrix, dot, rank
+from .graded_algebra import GPoly, divided, substitute
+from .linalg import as_matrix, collect, dot, rank, rational
 from .nq_core import Derivation, commutator
 
 # ---------------------------------------------------------------------------
@@ -92,8 +92,8 @@ def gauge_shift_consistent(T: TwistData, alpha: GPoly) -> bool:
 
 def _bracket(table, u, v):
     """The bilinear map with basis values table[(i, j)] = {k: c} on dict vectors."""
-    return _sum_pairs((k, ci * cj * ck) for i, ci in u.items() for j, cj in v.items()
-                      for k, ck in table.get((i, j), {}).items())
+    return collect((k, ci * cj * ck) for i, ci in u.items() for j, cj in v.items()
+                   for k, ck in table.get((i, j), {}).items())
 
 
 def _jacobi_violation(bracket, degrees):
@@ -108,7 +108,7 @@ def _jacobi_violation(bracket, degrees):
             for c in range(n):
                 ec = {c: 1}
                 lhs = bracket(ea, bracket(eb, ec))
-                rhs = _sum_pairs(itertools.chain(
+                rhs = collect(itertools.chain(
                     bracket(bracket(ea, eb), ec).items(),
                     ((k, sign * v) for k, v in bracket(eb, bracket(ea, ec)).items())))
                 if lhs != rhs:
@@ -131,7 +131,7 @@ class QuadraticLieAlgebra:
         self.dim = dim
         self.brackets = {}
         for (k, i, j), val in c.items():
-            val = _rat(val)
+            val = rational(val)
             if not all(1 <= t <= dim for t in (k, i, j)):
                 raise ValueError(f"structure index out of range: {(k, i, j)}")
             if i == j:
@@ -208,14 +208,14 @@ class GradedLieAlgebra:
         self.degrees = [d for _, d in self.basis]
         self.brackets = {}
         for (i, j), vec in brackets.items():
-            vec = {k: _rat(v) for k, v in vec.items() if v != 0}
+            vec = {k: rational(v) for k, v in vec.items() if v != 0}
             self.brackets[(i, j)] = vec
             sign = -1 if (self.degrees[i] * self.degrees[j]) % 2 == 0 else 1
             mirrored = {k: sign * v for k, v in vec.items()}
             if (j, i) in self.brackets and self.brackets[(j, i)] != mirrored:
                 raise StructureError(f"bracket table breaks graded antisymmetry at {(i, j)}")
             self.brackets.setdefault((j, i), mirrored)
-        self.q = {i: {k: _rat(v) for k, v in vec.items() if v != 0} for i, vec in q.items()}
+        self.q = {i: {k: rational(v) for k, v in vec.items() if v != 0} for i, vec in q.items()}
 
     def dim(self) -> int:
         return len(self.basis)
@@ -227,7 +227,7 @@ class GradedLieAlgebra:
         return _bracket(self.brackets, u, v)
 
     def q_vec(self, u):
-        return _sum_pairs((k, ci * ck) for i, ci in u.items() for k, ck in self.q.get(i, {}).items())
+        return collect((k, ci * ck) for i, ci in u.items() for k, ck in self.q.get(i, {}).items())
 
     def jacobi_violation(self):
         """First basis triple violating [a,[b,c]] = [[a,b],c] + (-1)^|a||b| [b,[a,c]]."""
@@ -242,7 +242,7 @@ class GradedLieAlgebra:
             for b in range(n):
                 eb = {b: 1}
                 lhs = self.q_vec(self.bracket_vec(ea, eb))
-                rhs = _sum_pairs(itertools.chain(
+                rhs = collect(itertools.chain(
                     self.bracket_vec(self.q_vec(ea), eb).items(),
                     ((k, sign * v) for k, v in self.bracket_vec(ea, self.q_vec(eb)).items())))
                 if lhs != rhs:
@@ -339,7 +339,7 @@ def cartan_3form(g: QuadraticLieAlgebra) -> GPoly:
             coeff = dot(row, vec)
             if coeff:
                 terms.append(coeff * xi[i] * xi[j] * xi[k])
-    return _divided(chart.sum(terms), 6)
+    return divided(chart.sum(terms), 6)
 
 
 def chevalley_eilenberg_q(g: QuadraticLieAlgebra) -> Derivation:

@@ -16,19 +16,7 @@ from itertools import chain, repeat
 from operator import and_, or_, rshift
 
 from .errors import ChartMismatchError, GradingError, UnsupportedInputError
-
-Rat = Fraction
-
-
-def _rat(x):
-    """An exact rational: an `int` when integral, a `Fraction` otherwise."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, str):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    raise TypeError(f"not an exact rational: {x!r}")
+from .linalg import collect, rational
 
 
 @dataclass(frozen=True)
@@ -153,7 +141,7 @@ class Chart:
         return _make(self, {})
 
     def const(self, c) -> "GPoly":
-        c = _rat(c)
+        c = rational(c)
         return _make(self, {0: c} if c else {})
 
     def one(self) -> "GPoly":
@@ -164,7 +152,7 @@ class Chart:
 
     def monomial(self, c, exponents) -> "GPoly":
         """Monomial with explicit exponent tuple; an odd exponent above 1 gives zero."""
-        c = _rat(c)
+        c = rational(c)
         key = self._pack(exponents)
         return _make(self, {key: c} if c and key is not None else {})
 
@@ -255,21 +243,6 @@ def _partials(chart: Chart, terms, i: int, right: bool):
     return [(k - unit, c * e) for k, c in terms if (e := (k >> s) & _FIELD_MASK)]
 
 
-def _sum_pairs(pairs) -> dict:
-    """Sum (key, coefficient) pairs into a dict without zero coefficients.
-
-    Every operation whose terms can meet or cancel goes through here: it is
-    the one place where coefficients of equal keys are added and zero
-    results dropped.
-    """
-    out = {}
-    for key, c in pairs:
-        if key in out:
-            c += out[key]
-        out[key] = c
-    return {k: c for k, c in out.items() if c}
-
-
 def _make(chart: Chart, terms: dict) -> "GPoly":
     """The polynomial with the packed terms `terms`, stored as given."""
     p = object.__new__(GPoly)
@@ -280,12 +253,12 @@ def _make(chart: Chart, terms: dict) -> "GPoly":
 
 def _collect(chart: Chart, pairs) -> "GPoly":
     """The canonical polynomial with the summed (key, coefficient) pairs."""
-    return _make(chart, _sum_pairs(pairs))
+    return _make(chart, collect(pairs))
 
 
-def _divided(p: "GPoly", d: int) -> "GPoly":
+def divided(p: "GPoly", d: int) -> "GPoly":
     """p with every coefficient divided by the integer d, an `int` where integral."""
-    return _make(p.chart, {k: _rat(Fraction(c, d)) for k, c in p._terms.items()})
+    return _make(p.chart, {k: rational(Fraction(c, d)) for k, c in p._terms.items()})
 
 
 class GPoly:
@@ -366,9 +339,6 @@ class GPoly:
             fields |= chart._fields[chart.index(n)]
         return _make(chart, {k: c for k, c in self._terms.items() if not k & fields})
 
-    def constant_term(self):
-        return self._terms.get(0, 0)
-
     def _check_chart(self, other):
         if self.chart != other.chart:
             raise ChartMismatchError("operands live on different charts")
@@ -396,7 +366,7 @@ class GPoly:
     def __mul__(self, other):
         chart = self.chart
         if not isinstance(other, GPoly):
-            c = _rat(other)
+            c = rational(other)
             return _collect(chart, ((k, v * c) for k, v in self._terms.items()))
         self._check_chart(other)
         return _checked(_collect(chart, _products(chart, self._terms.items(),
@@ -485,7 +455,7 @@ def _derivative(p: GPoly, v, right: bool) -> GPoly:
     return _make(chart, dict(_partials(chart, p._terms.items(), chart.index(v), right)))
 
 
-def _bracket(chart: Chart, layout, f: GPoly, g: GPoly) -> GPoly:
+def darboux_bracket(chart: Chart, layout, f: GPoly, g: GPoly) -> GPoly:
     """sum_i s_i dR_i f * dL_conj(i) g for the conjugate layout
     `layout[i] = (conj(i), s_i)` of a Darboux chart, over the i that f
     contains whose conjugate g contains."""
@@ -506,7 +476,7 @@ def weight_of(p: GPoly):
 
 def rescale(p: GPoly, lam) -> GPoly:
     """Substitute lam^weight(v) * v for every variable v."""
-    lam = _rat(lam)
+    lam = rational(lam)
     chart = p.chart
     return _collect(chart, ((key, c * lam ** _key_weight(chart, key))
                             for key, c in p._terms.items()))
@@ -517,7 +487,7 @@ def scaling_check(p: GPoly, lam) -> bool:
     w = p.weight()
     if w is None:
         raise GradingError("scaling_check requires a weight-homogeneous polynomial")
-    return rescale(p, lam) == p * (_rat(lam) ** w)
+    return rescale(p, lam) == p * (rational(lam) ** w)
 
 
 def substitute(p: GPoly, v, q: GPoly) -> GPoly:

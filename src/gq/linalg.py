@@ -1,17 +1,49 @@
 """Exact sparse linear algebra over the rationals.
 
-A `Matrix` is its shape plus one dict `{column: nonzero entry}` per row, and
-a vector is a dict `{index: nonzero entry}`; zeros are never stored. Entries
-stay Python ints as built and become `Fraction`s only where `RowReducer`
-divides by a pivot other than +-1. The matrices coming from simplicial complexes and
-coordinate charts are overwhelmingly sparse, and exact ranks on a few
-hundred dimensions are only tractable that way. Nested lists of rows are
-converted once, by `as_matrix`, where they enter the package.
+This module owns the exact sparse-vector format: a vector is a dict
+`{index: nonzero entry}`, summed from pairs by `collect`, and a `Matrix` is
+its shape plus one such dict `{column: nonzero entry}` per row. Zeros are
+never stored. Scalars enter through `rational`, which rejects floats;
+entries stay Python ints as built and become `Fraction`s only where
+`RowReducer` divides by a pivot other than +-1. The matrices coming from
+simplicial complexes and coordinate charts are overwhelmingly sparse, and
+exact ranks on a few hundred dimensions are only tractable that way. Nested
+lists of rows are converted once, by `as_matrix`, where they enter the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+
+def rational(x):
+    """An exact rational: an `int` when integral, a `Fraction` otherwise.
+
+    Accepts `int`, `str` (such as "1/2") and `Fraction`; anything else, a
+    float included, raises `TypeError`.
+    """
+    if isinstance(x, int):
+        return x
+    if isinstance(x, str):
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def collect(pairs) -> dict:
+    """Sum (index, entry) pairs into a vector without zero entries.
+
+    Polynomial terms (indexed by monomial key), Lie-algebra vectors and
+    simplicial chains are all summed here; `Matrix.from_entries`, `_axpy`
+    and `mat_mul` keep inline loops because they are on the hot path.
+    """
+    out = {}
+    for key, c in pairs:
+        if key in out:
+            c += out[key]
+        out[key] = c
+    return {k: c for k, c in out.items() if c}
 
 
 class Matrix:
@@ -74,17 +106,11 @@ class Matrix:
         return f"Matrix({self.rows!r}, {self.ncols})"
 
 
-def _exact(x):
-    """x as an exact rational: an int when integral, else a Fraction."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
 def as_matrix(A) -> Matrix:
     """A `Matrix` as is, or a nested list of rows converted to one."""
     if isinstance(A, Matrix):
         return A
-    rows = [{j: x for j, x in enumerate(map(_exact, row)) if x} for row in A]
+    rows = [{j: x for j, x in enumerate(map(rational, row)) if x} for row in A]
     return Matrix(rows, len(A[0]) if A else 0)
 
 

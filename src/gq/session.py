@@ -29,7 +29,7 @@ from . import sigma_structures as sig
 from .errors import GqError, SemanticError, UnsupportedInputError
 from .forms import TangentChart, dorfman_bracket
 from .graded_algebra import Chart, GVar, left_derivative, scaling_check
-from .linalg import Matrix
+from .linalg import Matrix, rational
 from .nq_core import Derivation, commutator, euler_field, manifold_degree, q_square
 
 
@@ -255,7 +255,7 @@ class Session:
                 if not (1 <= i <= st.dim and 1 <= j <= st.dim):
                     raise SemanticError(f"inner product index out of range: {(i, j)}", *st.pos)
                 ip[(i - 1, j - 1)] = ip[(j - 1, i - 1)] = v
-            entries = ((i, j, v) for (i, j), v in ip.items())
+            entries = ((i, j, rational(v)) for (i, j), v in ip.items())
             g = ext.QuadraticLieAlgebra(st.dim, c, Matrix.from_entries(st.dim, st.dim, entries))
         self.bind(st.name, "algebra", g, st.pos)
 
@@ -614,24 +614,25 @@ def _bivector_of(h):
 
 
 def _schouten_jacobiator(h, pi):
-    """Cyclic sum pi^{sa} d_s pi^{bc} for every a<b<c; exact polynomials."""
+    """Cyclic sum pi^{sa} d_s pi^{bc} for every a<b<c; exact polynomials.
+    Each d_s pi^{jk} is taken once, for the stored pair j < k, and negated
+    for the reversed pair."""
     dchart = h.dchart
     m = len(dchart.pairs)
-    chart = dchart.chart
-
-    def piv(a, b):
-        if a == b:
-            return chart.zero()
-        return pi[(a, b)] if a < b else -pi[(b, a)]
-
-    out = {}
     xs = [p.q_name for p in dchart.pairs]
+    piv, dpi = {}, {}                 # (j, k) -> pi^{jk}, [d_s pi^{jk} for each s]
+    for (j, k), p in pi.items():
+        piv[(j, k)], piv[(k, j)] = p, -p
+        dpi[(j, k)] = [left_derivative(p, x) for x in xs]
+        dpi[(k, j)] = [-d for d in dpi[(j, k)]]
+    out = {}
     for a in range(1, m + 1):
         for b in range(a + 1, m + 1):
             for c in range(b + 1, m + 1):
-                out[(a, b, c)] = chart.sum(
-                    piv(s, i) * left_derivative(piv(j, k), xs[s - 1])
-                    for s in range(1, m + 1) for i, j, k in ((a, b, c), (b, c, a), (c, a, b)))
+                out[(a, b, c)] = dchart.chart.sum(
+                    piv[(s, i)] * dpi[(j, k)][s - 1]
+                    for s in range(1, m + 1) for i, j, k in ((a, b, c), (b, c, a), (c, a, b))
+                    if s != i)
     return out
 
 

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChartMismatchError, GradingError, StructureError, UnsupportedInputError
-from .graded_algebra import (
-    Chart, GPoly, GVar, _bracket, _divided, _rat, left_derivative,
-)
+from .graded_algebra import Chart, GPoly, GVar, darboux_bracket, divided, left_derivative
+from .linalg import rational
 from .nq_core import Derivation
 
 
@@ -51,7 +50,7 @@ class DarbouxChart:
         for p in pairs:
             if not isinstance(p, ConjugatePair):
                 p = ConjugatePair(*p)
-            p = ConjugatePair(p.q_name, p.q_weight, p.p_name, p.p_weight, _rat(p.sign))
+            p = ConjugatePair(p.q_name, p.q_weight, p.p_name, p.p_weight, rational(p.sign))
             if p.sign == 0:
                 raise StructureError(f"pair ({p.q_name}, {p.p_name}) has zero coefficient")
             for name, w in ((p.q_name, p.q_weight), (p.p_name, p.p_weight)):
@@ -81,14 +80,6 @@ class DarbouxChart:
 
     def one(self) -> GPoly:
         return self.chart.one()
-
-    def conjugate_of(self, name: str) -> str:
-        for p in self.pairs:
-            if p.q_name == name:
-                return p.p_name
-            if p.p_name == name:
-                return p.q_name
-        raise KeyError(f"{name!r} is not a Darboux coordinate")
 
     def __repr__(self):
         inner = "; ".join(
@@ -120,13 +111,13 @@ def poisson_bracket(dchart: DarbouxChart, f: GPoly, g: GPoly) -> GPoly:
     {f, g} = sum over pairs of
         sign * [ dR_q f * dL_p g  -  (-1)^(|q||p|) dR_p f * dL_q g ],
     that is sum_i s_i dR_i f * dL_conj(i) g over the chart's conjugate
-    layout (`graded_algebra._bracket`). On coordinates
+    layout (`graded_algebra.darboux_bracket`). On coordinates
     {q_i, p_j} = sign_i * delta_ij.
     """
     chart = dchart.chart
     if f.chart != chart or g.chart != chart:
         raise ChartMismatchError("arguments do not live on this Darboux chart")
-    return _bracket(chart, dchart.layout, f, g)
+    return darboux_bracket(chart, dchart.layout, f, g)
 
 
 class Hamiltonian:
@@ -191,10 +182,10 @@ def q_to_hamiltonian(dchart: DarbouxChart, Q: Derivation) -> GPoly:
         sq = -1 if (qw % 2) * (n % 2) else 1
         sp = -1 if (pw % 2) * (n % 2) else 1
         spar = -1 if (qw % 2) * (pw % 2) else 1
-        inv = _rat(Fraction(1) / pr.sign)
+        inv = rational(Fraction(1) / pr.sign)
         terms.append(q * Q.component(pr.p_name) * (sq * qw * inv))
         terms.append(p * Q.component(pr.q_name) * -(sp * spar * pw * inv))
-    theta = _divided(dchart.chart.sum(terms), n + 1)
+    theta = divided(dchart.chart.sum(terms), n + 1)
     candidate = theta.weight_component(n + 1)
     if candidate != theta:
         raise StructureError("Q is not symplectic: reconstructed Hamiltonian is inhomogeneous")

@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import itertools
 import json
+import random
 import re
 from pathlib import Path
 
@@ -10,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gq import APath, dsl, save_apath
+from gq import APath, dsl, left_derivative, save_apath
+from gq import session as session_module
 from gq.cli import main as cli_main
 from gq.errors import ParseError, SemanticError
 from gq.session import CHECKS, Options, analyze, execute, report_render, run_source
@@ -401,6 +404,53 @@ def test_algebra_inner_product_last_assignment_wins():
     session = analyze(dsl.parse(
         "algebra G dim 2 { ip 1 1 = 5; ip 1 1 = 1; ip 2 2 = 1; ip 1 2 = 2; ip 2 1 = 3; }"))
     assert session.get("G").ip.rows == [{0: 1, 1: 3}, {0: 3, 1: 1}]
+
+
+def test_algebra_form_entries_stay_int():
+    source = "algebra G dim 2 { ip 1 1 = 1; ip 2 2 = 1; }\ncheck jacobi G;"
+    session = analyze(dsl.parse(source))
+    assert all(type(x) is int for row in session.get("G").ip.rows for x in row.values())
+    assert [r.verdict for r in run_source(source).records] == ["pass"]
+
+
+def _jacobiator_reference(h, pi):
+    """The Schouten Jacobiator as a triple loop that differentiates every
+    term afresh."""
+    dchart = h.dchart
+    m = len(dchart.pairs)
+    chart = dchart.chart
+
+    def piv(a, b):
+        if a == b:
+            return chart.zero()
+        return pi[(a, b)] if a < b else -pi[(b, a)]
+
+    xs = [p.q_name for p in dchart.pairs]
+    return {(a, b, c): chart.sum(
+                piv(s, i) * left_derivative(piv(j, k), xs[s - 1])
+                for s in range(1, m + 1) for i, j, k in ((a, b, c), (b, c, a), (c, a, b)))
+            for a, b, c in itertools.combinations(range(1, m + 1), 3)}
+
+
+@pytest.mark.parametrize("extra", ["", " + x3*p1*p2 - 2*x1*x4*p2*p9"],
+                         ids=["log-canonical", "not-poisson"])
+def test_schouten_jacobiator_differentiates_each_pair_once(monkeypatch, extra):
+    m, rng = 10, random.Random(3)
+    pairs = " ".join(f"(x{a}:0, p{a}:1);" for a in range(1, m + 1))
+    terms = " + ".join(f"{rng.choice([-3, -2, -1, 1, 2, 3])}*x{a}*x{b}*p{a}*p{b}"
+                       for a, b in itertools.combinations(range(1, m + 1), 2))
+    session = analyze(dsl.parse(f"sigma S deg 1 pairs {{ {pairs} }}\n"
+                                f"ham H on S = {terms}{extra};"))
+    h = session.get("H")
+    pi = session_module._bivector_of(h)
+    calls = []
+    derivative = session_module.left_derivative
+    monkeypatch.setattr(session_module, "left_derivative",
+                        lambda p, v: calls.append(v) or derivative(p, v))
+    jac = session_module._schouten_jacobiator(h, pi)
+    assert len(calls) == len(pi) * m == 450
+    assert jac == _jacobiator_reference(h, pi)
+    assert all(v.is_zero() for v in jac.values()) == (extra == "")
 
 
 def test_dorfman_rejects_a_twisted_courant_hamiltonian():

@@ -477,6 +477,24 @@ def test_monomial_keys_stay_in_the_kernel():
     assert readers == []
 
 
+def test_no_private_name_crosses_modules():
+    """No module imports a private name from another gq module, neither by a
+    relative `from .mod import _name` nor as an attribute `mod._name` of a gq
+    module it imported."""
+    crossings = []
+    for path in sorted(Path(gq.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imports = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level]
+        modules = {a.asname or a.name for n in imports if n.module is None for a in n.names}
+        names = [(n.lineno, a.name) for n in imports for a in n.names]
+        names += [(n.lineno, n.attr) for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                  and n.value.id in modules]
+        crossings += [f"{path.name}:{line}: {name}" for line, name in names
+                      if name.startswith("_")]
+    assert crossings == []
+
+
 # -- the packed kernel against its tuple-key oracles -------------------------
 
 

@@ -9,8 +9,8 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from gq.linalg import (  # noqa: E402
-    Matrix, as_matrix, column_space_basis, extend_to_basis, mat_mul, mat_vec, nullspace,
-    rank, solve, span_contains, span_dim,
+    Matrix, as_matrix, collect, column_space_basis, extend_to_basis, mat_mul, mat_vec,
+    nullspace, rank, rational, solve, span_contains, span_dim,
 )
 
 given, settings = hypothesis.given, hypothesis.settings
@@ -115,6 +115,26 @@ def test_nested_list_and_sparse_type_agree():
     assert all(type(x) is int for x in M.rows[1].values())
     assert as_matrix([]) == Matrix([], 0) and rank([]) == 0
     assert rank([[], []]) == 0
+
+
+def test_rational_coercion():
+    assert rational(3) == 3 and type(rational(Fraction(4, 2))) is int
+    assert rational("1/2") == Fraction(1, 2) and type(rational("-6/3")) is int
+    for x in (0.5, 0.1, 1.0, None):
+        with pytest.raises(TypeError):
+            rational(x)
+    with pytest.raises(TypeError):
+        rank([[0.5]])
+    with pytest.raises(TypeError):
+        as_matrix([[1, 0.1]])
+    assert as_matrix([["1/2", "0", "2"]]) == Matrix([{0: Fraction(1, 2), 2: 2}], 3)
+
+
+def test_collect_sums_and_drops_zeros():
+    assert collect([]) == {}
+    half = Fraction(1, 2)
+    assert collect([(1, 2), (0, 1), (1, -2), (2, half), (2, half)]) == {0: 1, 2: 1}
+    assert list(collect([("b", 1), ("a", 1), ("b", 1)])) == ["b", "a"]
 
 
 def test_entries_stay_int_until_division():
