@@ -16,7 +16,7 @@ from .graded_algebra import (
     substitute, weight_of,
 )
 from .nq_core import (
-    Derivation, apply_derivation, commutator, de_rham_q, euler_field, is_nq,
+    Derivation, apply_derivation, commutator, euler_field, is_nq,
     manifold_degree, q_square,
 )
 from .sigma_structures import (

@@ -73,24 +73,25 @@ class GradedComplex:
         return column_space_basis(self.d(k - 1))
 
     def cohomology(self):
-        """degree -> (dimension, representative cocycles completing im d)."""
+        """degree -> (dimension, representative cocycles completing im d).
+
+        The representatives are the cocycles, in `nullspace` order, that extend
+        the column span of d_{k-1}, which lies in ker d_k since d^2 = 0; so
+        dim H^k is their count."""
         out = {}
         degs = set(self.degrees())
         degs |= {k + 1 for k in self.degrees()}
         for k in sorted(degs):
-            Z = self.cocycles(k)
-            B = self.coboundaries(k)
-            reps = extend_to_basis(B, Z)
-            dim_h = len(Z) - len(B)
-            if dim_h or self.dim(k):
-                out[k] = (dim_h, reps)
+            reps = extend_to_basis(self.d(k - 1).T.rows, self.cocycles(k))
+            if reps or self.dim(k):
+                out[k] = (len(reps), reps)
         return out
 
     def betti(self):
         return {k: d for k, (d, _) in self.cohomology().items() if d or self.dim(k)}
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** k * d for k, d in self.components.items())
+        return sum(-d if k % 2 else d for k, d in self.components.items())
 
 
 def _block_offsets(dims1, dims2):
@@ -186,9 +187,9 @@ class SymplecticComplex:
 
     def pair_matrix(self, k, us, vs) -> Matrix:
         """The matrix of <u, v> for u in us (in C^k) and v in vs (in C^{D-k})."""
-        pvs = [mat_vec(self.pairing(k), v) for v in vs]
-        return Matrix([{j: x for j, pv in enumerate(pvs) if (x := dot(u, pv))} for u in us],
-                      len(vs))
+        U = Matrix(list(us), self.dim(k))
+        V = Matrix(list(vs), self.dim(self.pairing_degree - k))
+        return mat_mul(mat_mul(U, self.pairing(k)), V.T)
 
     def chain_nondegenerate(self) -> bool:
         """Every P_k square and invertible (on degrees with content)."""
@@ -238,9 +239,6 @@ def cohomology_pairing(S: SymplecticComplex) -> CohomologyPairing:
         blocks[k] = S.pair_matrix(k, rk, reps.get(D - k, []))
         r = rank(blocks[k])
         if r != dims.get(k, 0) or r != dims.get(D - k, 0):
-            nondeg = False
-    for k, d in dims.items():
-        if d and k not in blocks:
             nondeg = False
     return CohomologyPairing(dims, blocks, nondeg, reps)
 
@@ -340,44 +338,34 @@ def lemma3_orthogonality(R: RelativeComplex) -> LemmaThreeReport:
     strict = S.chain_nondegenerate()
     degs = sorted(set(C.degrees()) | {k + 1 for k in C.degrees()})
     z = {k: C.cocycles(k) for k in degs}
+    # d(Gamma_0): row i of (Gamma_0 basis) d^T is d of the i-th basis vector
     b0 = {}
     for k in degs:
-        images = (mat_vec(C.d(k - 1), v) for v in R.sub_kernel(k - 1))
-        b0[k] = [w for w in images if w]
+        gamma0 = Matrix(R.sub_kernel(k - 1), C.dim(k - 1))
+        b0[k] = [w for w in mat_mul(gamma0, C.d(k - 1).T).rows if w]
     perp = {}
     for k in degs:
-        rows = []
-        P, PT = S.pairing(k), S.pairing(D - k).T
-        for b in b0.get(D - k, []):
-            rows.append(mat_vec(P, b))             # <v, b> = 0
-            rows.append(mat_vec(PT, b))            # <b, v> = 0
+        B = Matrix(b0.get(D - k, []), C.dim(D - k))
+        # rows <., b> and <b, .> for each b in d(Gamma_0^{D-k})
+        rows = mat_mul(B, S.pairing(k).T).rows + mat_mul(B, S.pairing(D - k)).rows
         perp[k] = nullspace(Matrix(rows, C.dim(k)))
     inclusion = all(span_contains(perp[k], z[k]) for k in degs)
     equality = inclusion and all(len(perp[k]) == len(z[k]) for k in degs)
-    # quotient Z / B0 with its induced pairing
-    reps = {k: extend_to_basis(b0.get(k, []), z[k]) for k in degs}
+    # quotient Z / B0 with its induced pairing; d(Gamma_0) lies in Z, so
+    # dim span d(Gamma_0^k) = dim Z^k - dim Q^k
+    reps = {k: extend_to_basis(b0[k], z[k]) for k in degs}
     qdims = {k: len(r) for k, r in reps.items() if r}
-    total_dim = sum(qdims.values())
-    nondeg = True
-    if total_dim:
-        pos, entries = {}, []
-        for k in sorted(qdims):
-            pos[k] = sum(qdims[j] for j in pos)
-        for k in qdims:
-            if D - k not in qdims:
-                continue
-            block = S.pair_matrix(k, reps[k], reps[D - k])
-            entries += ((pos[k] + i, pos[D - k] + j, x)
-                        for i, row in enumerate(block.rows) for j, x in row.items())
-        nondeg = rank(Matrix.from_entries(total_dim, total_dim, entries)) == total_dim
+    # block (k, D-k) is alone in its block row and block column, so the
+    # quotient pairing has full rank iff the block ranks add up to its size
+    block_ranks = sum(rank(S.pair_matrix(k, reps[k], reps.get(D - k, []))) for k in qdims)
     return LemmaThreeReport(
         mode="strict" if strict else "degraded",
         equality=equality, inclusion=inclusion,
         z_dims={k: len(z[k]) for k in degs if z[k]},
-        b0_dims={k: span_dim(v) for k, v in b0.items() if v},
+        b0_dims={k: n for k in degs if (n := len(z[k]) - len(reps[k]))},
         perp_dims={k: len(perp[k]) for k in degs if perp[k]},
         quotient_dims=qdims,
-        quotient_nondegenerate=nondeg,
+        quotient_nondegenerate=block_ranks == sum(qdims.values()),
     )
 
 
@@ -515,7 +503,7 @@ class SimplicialComplex:
 
     def boundary_chain(self):
         """Coefficients of the boundary of the fundamental chain, by simplex."""
-        return collect((s[:i] + s[i + 1:], sign * (-1) ** i)
+        return collect((s[:i] + s[i + 1:], -sign if i % 2 else sign)
                        for s, sign in self.fundamental.items() for i in range(len(s)))
 
     def graded_complex(self) -> GradedComplex:
@@ -544,7 +532,7 @@ class SimplicialComplex:
         for k in keep:
             if not keep.get(k + 1):
                 continue
-            faces = ((row, s[:i] + s[i + 1:], (-1) ** i)
+            faces = ((row, s[:i] + s[i + 1:], -1 if i % 2 else 1)
                      for row, s in enumerate(keep[k + 1]) for i in range(len(s)))
             diffs[k] = Matrix.from_entries(len(keep[k + 1]), len(keep[k]),
                                            ((row, idx[k][f], x) for row, f, x in faces
@@ -716,7 +704,7 @@ def double_complex(C: GradedComplex, n: int) -> SymplecticComplex:
     all_degs = sorted(comps)
     # sigma_j relates the two pairing blocks; the compatibility identity forces
     # sigma_{j+1} = (-1)^(n+1) sigma_j, solved by this closed form
-    sigma = {j: (-1) ** ((n + 1) * j) for j in all_degs}
+    sigma = {j: -1 if (n + 1) * j % 2 else 1 for j in all_degs}
     for k in all_degs:
         rows = c_dim(k + 1) + d_dim(k + 1)
         cols = c_dim(k) + d_dim(k)
@@ -724,7 +712,7 @@ def double_complex(C: GradedComplex, n: int) -> SymplecticComplex:
             continue
         entries = [(r, c, x) for r, row in enumerate(C.d(k).rows) for c, x in row.items()]
         # dual differential: (delta phi)(x) = (-1)^{n-k} phi(dx)
-        s = (-1) ** (n - k)
+        s = -1 if (n - k) % 2 else 1
         entries += ((c_dim(k + 1) + r, c_dim(k) + c, s * x)
                     for c, row in enumerate(C.d(n - k - 1).rows) for r, x in row.items())
         diffs[k] = Matrix.from_entries(rows, cols, entries)

@@ -17,16 +17,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-KEYWORDS = {
-    "chart", "qfield", "sigma", "ham", "form", "algebroid", "algebra",
-    "twist", "pair", "path", "grid", "complex", "nmap", "check", "load",
-    "save", "on", "deg", "dim", "pairs", "sign", "base", "fiber", "fiber2",
-    "v", "alpha", "rho", "c", "ip", "so3", "sl2", "torus", "cylinder",
-    "interval", "disk", "modes", "constraints", "dims", "expect", "lambda",
-}
-
-PUNCT = ("->", "{", "}", "(", ")", ";", ":", ",", "=", "+", "-", "*", "^", "/")
-
 
 @dataclass(frozen=True)
 class Token:

@@ -15,7 +15,7 @@ from .graded_algebra import Chart, GPoly, GVar, left_derivative
 __all__ = [
     "Chart", "GVar", "Derivation",
     "apply_derivation", "commutator", "q_square", "manifold_degree",
-    "euler_field", "de_rham_q",
+    "euler_field",
 ]
 
 
@@ -148,12 +148,3 @@ def euler_field(chart: Chart) -> Derivation:
     """The degree-0 field generating the scaling action: E(v) = weight(v) * v."""
     comps = {v.name: chart.var(v.name) * Fraction(v.weight) for v in chart.gvars}
     return Derivation(chart, 0, comps, check=False)
-
-
-def de_rham_q(chart: Chart, pairs) -> Derivation:
-    """Q sending each base coordinate to its paired weight-1 coordinate.
-
-    pairs: iterable of (base_name, odd_name); all other coordinates map to 0.
-    """
-    comps = {b: chart.var(o) for b, o in pairs}
-    return Derivation(chart, 1, comps)

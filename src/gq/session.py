@@ -783,8 +783,15 @@ def check_moduli(session, st, val, dims=None):
         if val.boundary.complex.components:
             raise SemanticError("moduli needs a closed complex", *st.pos)
         val = val.total
-    rep = cx.cohomology_pairing(_as_symplectic(val, st))
+    S = _as_symplectic(val, st)
+    rep = cx.cohomology_pairing(S)
     got = [rep.dims.get(k, 0) for k in sorted(rep.dims)]
+    chi = sum(-d if k % 2 else d for k, d in rep.dims.items())
+    # from the component dimensions alone, with no elimination: a mismatch
+    # means the row and column reductions of some d_k disagree on its rank
+    euler = S.complex.euler_characteristic()
+    if chi != euler:
+        return "fail", None, f"sum of (-1)^k dim H^k is {chi}, Euler characteristic {euler}"
     if dims is not None and got != dims:
         return "fail", None, f"H dims {got}, expected {dims}"
     return _ok(rep.nondegenerate, witness_fail=f"induced pairing degenerate; H dims {got}",

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gq import APath, dsl, left_derivative, save_apath
+from gq import APath, GradedComplex, dsl, left_derivative, save_apath
 from gq import session as session_module
 from gq.cli import main as cli_main
 from gq.errors import ParseError, SemanticError
@@ -322,6 +322,21 @@ def test_cli_moduli_on_complex_with_boundary_exits_2(tmp_path, capsys):
     assert cli_main(["run", str(f)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {f}:1:49: moduli needs a closed complex\n"
+
+
+def test_moduli_certifies_euler_characteristic(monkeypatch):
+    cohomology = GradedComplex.cohomology
+
+    def drop_one_class(self):
+        out = cohomology(self)
+        dim, reps = out[1]
+        out[1] = (dim - 1, reps[1:])
+        return out
+
+    monkeypatch.setattr(GradedComplex, "cohomology", drop_one_class)
+    (rec,) = run_source("algebra G so3; complex T torus 3 3 fiber G; check moduli T;").records
+    assert (rec.verdict, rec.witness) == (
+        "fail", "sum of (-1)^k dim H^k is 1, Euler characteristic 0")
 
 
 @pytest.mark.parametrize("check", ["pairing S", "dorfman TH samples 2"])

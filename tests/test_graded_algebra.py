@@ -495,6 +495,17 @@ def test_no_private_name_crosses_modules():
     assert crossings == []
 
 
+def test_signs_are_int_parities():
+    """No `(-1) ** e` in the package: it is a float for e < 0, and a float
+    sign makes exact elimination inexact."""
+    powers = [f"{path.name}:{n.lineno}"
+              for path in sorted(Path(gq.__file__).parent.glob("*.py"))
+              for n in ast.walk(ast.parse(path.read_text()))
+              if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+              and ast.unparse(n.left) == "-1"]
+    assert powers == []
+
+
 # -- the packed kernel against its tuple-key oracles -------------------------
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from gq import (
     AlgebroidData, Chart, Derivation, GradingError, TangentChart, algebroid_to_q,
-    apply_derivation, commutator, de_rham_q, euler_field, is_nq,
+    apply_derivation, commutator, euler_field, is_nq,
     manifold_degree, q_square,
 )
 from conftest import homogeneous_pieces, random_poly
