@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,167 @@ def test_render_parse_roundtrip():
         prog = dsl.parse(src)
         again = dsl.parse(dsl.render(prog))
         assert again == prog, src
+
+
+# Message, line and column of the ParseError for one malformed program per
+# statement kind, plus the lexical and expression errors.
+MALFORMED = [
+    ('chart X { x:0', "1:14: expected ';', found ''", 1, 14),
+    ('chart X { x 0; }', "1:13: expected ':', found '0'", 1, 13),
+    ('qfield Q on X deg { x -> 1; }', "1:19: expected 'int', found '{'", 1, 19),
+    ('qfield Q on X { x = 1; }', "1:19: expected '->', found '='", 1, 19),
+    ('sigma S deg 2 pairs { (x:0, p:2, sgn -1); }', "1:34: expected 'sign', found 'sgn'", 1, 34),
+    ('sigma S deg 2 { }', "1:15: expected 'pairs', found '{'", 1, 15),
+    ('sigma S deg 1 pairs { (x:0, p:1, sign 1/-0); }', '1:41: zero denominator', 1, 41),
+    ('ham H on S = x +;', "1:17: expected an expression, found ';'", 1, 17),
+    ('ham H on S = d(x;', "1:17: expected ')', found ';'", 1, 17),
+    ('ham H on S = x^-1;', "1:16: expected 'int', found '-'", 1, 16),
+    ('ham H on S = 1/-2*x;', "1:16: expected 'int', found '-'", 1, 16),
+    ('ham H on S = 2/0*x;', '1:16: zero denominator', 1, 16),
+    ('form A on T x1;', "1:13: expected '=', found 'x1'", 1, 13),
+    ('algebroid A base 1 fiber 2 { rho 1 = 1; }', "1:36: expected 'int', found '='", 1, 36),
+    ('algebroid A base 1 fiber 2 { sigma 1 1 = 1; }', "1:36: expected 'rho' or 'c', found 'sigma'", 1, 36),
+    ('algebra G dim 2 { ip 1 1 = x; }', "1:28: expected 'int', found 'x'", 1, 28),
+    ('algebra G su2;', "1:11: expected 'dim', found 'su2'", 1, 11),
+    ('algebra G dim 1 { c 1 1 1 = 1/0; }', '1:31: zero denominator', 1, 31),
+    ('twist T base 2 = x;', "1:16: expected 'deg', found '='", 1, 16),
+    ('pair P base 2 deg 2 { w 1 = x; }', "1:25: expected 'v' or 'alpha', found 'w'", 1, 25),
+    ('pair P base 2 deg 2 { v 1 = x; alpha x; }', "1:38: expected '=', found 'x'", 1, 38),
+    ('load mesh M "m.dat";', "1:11: load expects path|grid|complex, found 'mesh'", 1, 11),
+    ('save K out.cplx;', "1:11: unexpected character '.'", 1, 11),
+    ('save K out;', "1:8: expected 'string', found 'out'", 1, 8),
+    ('qfield Q X { x -> 1; }', "1:10: expected 'on', found 'X'", 1, 10),
+    ('complex K sphere 3 fiber G;', "1:18: unknown surface 'sphere'", 1, 18),
+    ('complex K torus 3 3 base G;', "1:26: expected 'fiber' or 'fiber2', found 'base'", 1, 26),
+    ('nmap N on S dim x;', "1:17: expected 'int', found 'x'", 1, 17),
+    ('check lemma1 K deg (;', "1:20: unexpected check argument '('", 1, 20),
+    ('check q2 Q', "1:11: unexpected check argument ''", 1, 11),
+    ('load path P "data/p.apath;\n', '1:13: unterminated string', 1, 13),
+    ('chart X { x: 0; }\n  $', "2:3: unexpected character '$'", 2, 3),
+    ('quux X;', "1:1: unknown statement 'quux'", 1, 1),
+    ('42;', "1:1: expected a statement keyword, found '42'", 1, 1),
+    ('chart X { x:0; }\n\n\tqfield Q on X { x -> 1 }', "3:25: expected ';', found '}'", 3, 25),
+    ('"chart";', "1:1: expected a statement keyword, found 'chart'", 1, 1),
+    ('chart X { x:0; } # comment\nqfield Q on X { x -> @; }', "2:22: unexpected character '@'", 2, 22),
+]
+
+
+@pytest.mark.parametrize("source,message,line,column", MALFORMED)
+def test_parse_error_text_and_position(source, message, line, column):
+    with pytest.raises(ParseError) as err:
+        dsl.parse(source)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
+def _statements(st, runnable=False):
+    """Per-statement strategies for ASTs in the parser's normal form:
+    left-associated sums and products, non-negative numerals, and
+    parentheses only where `render` writes them. `runnable` keeps integers
+    small and file names to letters, so that the program is cheap and safe
+    to run."""
+    name = st.from_regex(r"[^\W\d]\w{0,3}", fullmatch=True).filter(
+        lambda s: s[0].isalpha() or s[0] == "_")
+    n = st.integers(-3, 3) if runnable else st.integers(-30, 30)
+    frac = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 9))
+    num = st.builds(Fraction, st.integers(0, 10**30), st.integers(1, 9)).map(dsl.Num)
+
+    # `render` writes no parentheses around the right operand of a sum
+    summand = st.deferred(lambda: term.filter(
+        lambda t: not (isinstance(t, dsl.BinOp) and t.op in "+-")))
+    expr = st.deferred(lambda: st.one_of(
+        term, st.builds(dsl.BinOp, st.sampled_from("+-"), expr, summand)))
+    paren = st.deferred(lambda: st.one_of(
+        st.builds(dsl.BinOp, st.sampled_from("+-"), expr, summand), st.builds(dsl.Neg, factor)))
+    atom = st.one_of(num, st.builds(dsl.Var, name), st.builds(dsl.DOp, expr), paren)
+    power = st.deferred(lambda: st.one_of(atom, st.builds(
+        dsl.BinOp, st.just("^"), power, st.integers(0, 9).map(Fraction).map(dsl.Num))))
+    factor = st.deferred(lambda: st.one_of(power, st.builds(dsl.Neg, factor)))
+    term = st.deferred(lambda: st.one_of(factor, st.builds(dsl.BinOp, st.just("*"), term, factor)))
+
+    lists = st.lists
+    fname = st.text("abc" if runnable else st.characters(blacklist_characters='"\n'),
+                    max_size=8)
+    surface = st.one_of(st.tuples(st.sampled_from(["torus", "cylinder"]), n, n),
+                        st.tuples(st.sampled_from(["interval", "disk"]), n))
+    check_name = lists(name, min_size=1, max_size=3).map("-".join)
+    return st.one_of(
+        st.builds(dsl.ChartStmt, name, lists(st.tuples(name, n), max_size=3)),
+        st.builds(dsl.QFieldStmt, name, name, n, lists(st.tuples(name, expr), max_size=3)),
+        st.builds(dsl.SigmaStmt, name, n, lists(st.tuples(name, n, name, n, frac), max_size=3)),
+        st.builds(dsl.HamStmt, name, name, expr),
+        st.builds(dsl.FormStmt, name, name, expr),
+        st.builds(dsl.AlgebroidStmt, name, n, n, lists(st.tuples(n, n, expr), max_size=2),
+                  lists(st.tuples(n, n, n, expr), max_size=2)),
+        st.builds(dsl.AlgebraStmt, name, st.sampled_from(["so3", "sl2"]), st.none(),
+                  st.just([]), st.just([])),
+        st.builds(dsl.AlgebraStmt, name, st.none(), n, lists(st.tuples(n, n, n, frac), max_size=3),
+                  lists(st.tuples(n, n, frac), max_size=3)),
+        st.builds(dsl.TwistStmt, name, n, n, expr),
+        st.builds(dsl.PairStmt, name, n, n, lists(st.tuples(n, expr), max_size=3), expr),
+        st.builds(dsl.LoadStmt, st.sampled_from(["path", "grid", "complex"]), name, fname),
+        st.builds(dsl.SaveStmt, name, fname),
+        st.builds(dsl.ComplexStmt, name, surface, name, st.none()),
+        st.builds(dsl.ComplexStmt, name, surface, st.none(), n),
+        st.builds(dsl.NMapStmt, name, name, st.none() | n),
+        st.builds(dsl.CheckStmt, check_name,
+                  lists(name | st.integers(0, 10**20).map(str), max_size=4)))
+
+
+def test_render_parse_roundtrip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.lists(_statements(st), max_size=6).map(dsl.Program))
+    def roundtrip(program):
+        assert dsl.parse(dsl.render(program)) == program
+
+    roundtrip()
+
+
+def test_parse_and_run_fuzz(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    piece = st.one_of(
+        st.sampled_from(["²", "٣", "½", "x²", "9" * 5000, "-", "/", "(", ";", "}", "#", '"']),
+        st.text(max_size=3))
+
+    def mutate(source, edits):
+        """Replace up to two lexemes at each edit's position, or one numeral,
+        by the edit's piece."""
+        lexemes = re.findall(r"\s+|\w+|\S", source)
+        for at, width, numeral, text in edits:
+            numerals = [i for i, lexeme in enumerate(lexemes) if lexeme.isdigit()]
+            if numeral and numerals:
+                at, width = numerals[at % len(numerals)], 1
+            at %= len(lexemes) + 1
+            lexemes[at:at + width] = [text]
+        return "".join(lexemes)
+
+    programs = st.lists(_statements(st, runnable=True), max_size=4).map(
+        lambda statements: dsl.render(dsl.Program(statements)))
+    edits = st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 2), st.booleans(), piece),
+                     max_size=3)
+    sources = st.one_of(st.text(), st.builds(mutate, programs, edits))
+    f = tmp_path_factory.mktemp("fuzz") / "p.gq"
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(sources)
+    def run(source):
+        try:
+            dsl.parse(source)
+        except ParseError:
+            pass
+        f.write_text(source)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["run", str(f), "--steps", "50"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.getvalue().strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+    run()
 
 
 def test_report_text_shape():
