@@ -60,20 +60,18 @@ def main(argv=None) -> int:
 
     run = sub.add_parser("run", help="execute a DSL program")
     run.add_argument("file", help="program file")
-    run.add_argument("--report", help="write the machine (JSON) report here")
-    run.add_argument("--steps", type=positive_int, default=10_000)
-    run.add_argument("--tolerance", type=positive_float, default=1e-6)
-    run.add_argument("--seed", type=int, default=0)
 
     check = sub.add_parser("check", help="run a single named check")
     check.add_argument("name", help="check name (see `gq checks`)")
     check.add_argument("args", nargs="*", help="check arguments, in the form `gq checks` lists")
     check.add_argument("-s", "--source", default="",
                        help="DSL statements that set up the bindings")
-    check.add_argument("--report", help="write the machine (JSON) report here")
-    check.add_argument("--steps", type=positive_int, default=10_000)
-    check.add_argument("--tolerance", type=positive_float, default=1e-6)
-    check.add_argument("--seed", type=int, default=0)
+
+    for command in (run, check):
+        command.add_argument("--report", help="write the machine (JSON) report here")
+        command.add_argument("--steps", type=positive_int, default=10_000)
+        command.add_argument("--tolerance", type=positive_float, default=1e-6)
+        command.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("checks", help="list available checks")
 

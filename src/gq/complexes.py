@@ -741,18 +741,6 @@ class NMapSpace:
     nondegenerate: bool
 
 
-def _merge_sign(S, T):
-    """Sign of sorting the concatenation of the sorted index tuples S and T:
-    -1 per pair s > t; None when they share an index."""
-    inversions = 0
-    for s in S:
-        for t in T:
-            if s == t:
-                return None
-            inversions += s > t
-    return -1 if inversions % 2 else 1
-
-
 def nmap_space(dchart, n: int | None = None) -> NMapSpace:
     """Component-space model of N-maps from an odd n-dimensional source into
     a Darboux chart: a coordinate of weight k contributes a binomial(n, k)-
@@ -781,10 +769,9 @@ def nmap_space(dchart, n: int | None = None) -> NMapSpace:
         subsets_p = list(itertools.combinations(range(1, n + 1), kp))
         for iq, S in enumerate(subsets_q):
             for ip_, T in enumerate(subsets_p):
-                sign = _merge_sign(S, T)
-                if sign is None:
+                if not set(S).isdisjoint(T):
                     continue
-                val = pr.sign * sign
+                val = pr.sign * _perm_sign(S + T)
                 entries.append((offsets[pr.q_name] + iq, offsets[pr.p_name] + ip_, val))
                 entries.append((offsets[pr.p_name] + ip_, offsets[pr.q_name] + iq, -val))
     P = Matrix.from_entries(total, total, entries)

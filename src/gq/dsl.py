@@ -5,88 +5,54 @@ literals over the enclosing statement's declared variables, with exact
 rational coefficients, `^` powers, and `d(...)` for the base de Rham
 operator where the chart carries one.
 
-The parser is a plain recursive descent over a hand tokenizer; every error
-carries the line/column and the offending token. `render` pretty-prints a
+The tokenizer is one regular expression; the parser is a plain recursive
+descent over its tokens. Every error carries the line/column and the
+offending token. `render` pretty-prints a
 program so that reparsing gives a structurally identical tree.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str          # ident | int | string | punct | eof
     text: str
     line: int
     col: int
 
 
+_TOKEN = re.compile(r"""
+    (?P<newline>\n) | (?P<skip>[ \t\r]+ | \#[^\n]*)
+  | (?P<string>"[^"\n]*") | (?P<unterminated>")
+  | (?P<punct>-> | [{}();:,=+\-*^/])
+  | (?P<int>[0-9]+) | (?P<ident>[^\W\d]\w*) | (?P<bad>.)""", re.VERBOSE)
+
+
 def tokenize(source: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    """Tokens with 1-based line and column; numerals are ASCII digits and an
+    identifier starts with a letter or `_` and continues alphanumeric."""
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise ParseError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", line, col)
-            tokens.append(Token("string", source[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        two = source[i:i + 2]
-        if two == "->":
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "{}();:,=+-*^/":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col, ch)
-    tokens.append(Token("eof", "", line, col))
+        text, col = m.group(), m.start() - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "unterminated":
+            raise ParseError("unterminated string", line, col)
+        elif kind == "bad" or kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", line, col, text[0])
+        else:
+            tokens.append(Token(kind, text[1:-1] if kind == "string" else text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -367,92 +333,129 @@ class _Parser:
         t = token or self.peek()
         raise ParseError(message, t.line, t.col, t.text)
 
-    def expect(self, kind, text=None) -> Token:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            self.error(f"expected {want!r}, found {t.text!r}")
-        return self.next()
+    def at(self, text) -> bool:
+        """Is the next token the punctuation or keyword `text`?"""
+        t = self.tokens[self.i]
+        return t.text == text and t.kind != "string"
 
-    def expect_int(self) -> int:
-        neg = False
-        if self.peek().kind == "punct" and self.peek().text == "-":
-            self.next()
-            neg = True
-        t = self.expect("int")
-        v = int(t.text)
-        return -v if neg else v
+    def accept(self, text) -> bool:
+        """Consume the punctuation or keyword `text` if it comes next."""
+        t = self.tokens[self.i]
+        if t.text != text or t.kind == "string":
+            return False
+        self.i += 1
+        return True
 
-    def expect_rational(self) -> Fraction:
-        num = self.expect_int()
-        if self.peek().kind == "punct" and self.peek().text == "/":
-            self.next()
-            t = self.peek()
-            den = self.expect_int()
-            if den == 0:
-                self.error("zero denominator", t)
-            return Fraction(num, den)
-        return Fraction(num)
+    def expect(self, text):
+        if not self.accept(text):
+            self.error(f"expected {text!r}, found {self.peek().text!r}")
+
+    def take(self, kind) -> str:
+        """The text of the next token, which must be of `kind`."""
+        t = self.next()
+        if t.kind != kind:
+            self.error(f"expected {kind!r}, found {t.text!r}", t)
+        return t.text
 
     def ident(self) -> str:
-        return self.expect("ident").text
+        return self.take("ident")
+
+    def expect_int(self, signed=True) -> int:
+        """The one reader of numerals: `-`? digits, as an `int`."""
+        neg = signed and self.accept("-")
+        t = self.peek()
+        try:
+            v = int(self.take("int"))
+        except ValueError:
+            self.error(f"integer literal of {len(t.text)} digits is too long", t)
+        return -v if neg else v
+
+    def expect_rational(self, signed=True) -> Fraction:
+        num = self.expect_int(signed)
+        if not self.accept("/"):
+            return Fraction(num)
+        t = self.peek()
+        den = self.expect_int(signed)
+        if den == 0:
+            self.error("zero denominator", t)
+        return Fraction(num, den)
+
+    def int_after(self, keyword) -> int:
+        self.expect(keyword)
+        return self.expect_int()
+
+    def weighted(self):
+        """`name : int`."""
+        name = self.ident()
+        self.expect(":")
+        return name, self.expect_int()
+
+    def assigned(self, value):
+        """`= value ;`, with `value` reading the value."""
+        self.expect("=")
+        v = value()
+        self.expect(";")
+        return v
+
+    def block(self, item) -> list:
+        """`{ item... }`, with `item` reading one entry."""
+        self.expect("{")
+        items = []
+        while not self.accept("}"):
+            items.append(item())
+        return items
+
+    def keyed(self, arity, value) -> dict:
+        """A block of `key int... = value;` entries; `arity` maps each key to
+        its count of integers. Entries come back by key as (int..., value)."""
+        found = {key: [] for key in arity}
+
+        def entry():
+            key = self.ident()
+            if key not in arity:
+                self.error(f"expected {' or '.join(map(repr, arity))}, found {key!r}")
+            ints = [self.expect_int() for _ in range(arity[key])]
+            found[key].append((*ints, self.assigned(value)))
+
+        self.block(entry)
+        return found
 
     # expressions -----------------------------------------------------------
 
     def expression(self):
         node = self.term()
-        while self.peek().kind == "punct" and self.peek().text in "+-":
-            op = self.next().text
-            node = BinOp(op, node, self.term())
+        while self.at("+") or self.at("-"):
+            node = BinOp(self.next().text, node, self.term())
         return node
 
     def term(self):
         node = self.factor()
-        while self.peek().kind == "punct" and self.peek().text == "*":
-            self.next()
+        while self.accept("*"):
             node = BinOp("*", node, self.factor())
         return node
 
     def factor(self):
-        t = self.peek()
-        if t.kind == "punct" and t.text == "-":
-            self.next()
+        if self.accept("-"):
             return Neg(self.factor())
         node = self.atom()
-        while self.peek().kind == "punct" and self.peek().text == "^":
-            self.next()
-            e = self.expect("int")
-            node = BinOp("^", node, Num(Fraction(int(e.text))))
+        while self.accept("^"):
+            node = BinOp("^", node, Num(Fraction(self.expect_int(signed=False))))
         return node
 
     def atom(self):
         t = self.peek()
         if t.kind == "int":
-            self.next()
-            if self.peek().kind == "punct" and self.peek().text == "/":
-                self.next()
-                den = self.expect("int")
-                if int(den.text) == 0:
-                    self.error("zero denominator", den)
-                return Num(Fraction(int(t.text), int(den.text)))
-            return Num(Fraction(int(t.text)))
-        if t.kind == "ident":
-            if t.text == "d":
-                nxt = self.tokens[self.i + 1]
-                if nxt.kind == "punct" and nxt.text == "(":
-                    self.next()
-                    self.next()
-                    inner = self.expression()
-                    self.expect("punct", ")")
-                    return DOp(inner)
-            self.next()
-            return Var(t.text)
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+            return Num(self.expect_rational(signed=False))
+        if self.accept("("):
             inner = self.expression()
-            self.expect("punct", ")")
+            self.expect(")")
             return inner
-        self.error(f"expected an expression, found {t.text!r}")
+        if t.kind != "ident":
+            self.error(f"expected an expression, found {t.text!r}")
+        self.i += 1
+        if t.text == "d" and self.at("("):
+            return DOp(self.atom())         # the parenthesized operand
+        return Var(t.text)
 
     # statements --------------------------------------------------------------
 
@@ -463,224 +466,122 @@ class _Parser:
         return Program(stmts)
 
     def statement(self):
+        """Consume the keyword, parse the rest by its `stmt_` method, and
+        place the statement at the keyword."""
         t = self.peek()
         if t.kind != "ident":
             self.error(f"expected a statement keyword, found {t.text!r}")
         handler = getattr(self, f"stmt_{t.text}", None)
         if handler is None:
             self.error(f"unknown statement {t.text!r}")
-        return handler()
+        self.i += 1
+        st = handler()
+        st.pos = (t.line, t.col)
+        return st
 
     def stmt_chart(self):
-        t = self.next()
         name = self.ident()
-        self.expect("punct", "{")
-        coords = []
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            vname = self.ident()
-            self.expect("punct", ":")
-            w = self.expect_int()
-            self.expect("punct", ";")
-            coords.append((vname, w))
-        self.expect("punct", "}")
-        return ChartStmt(name, coords, pos=(t.line, t.col))
+        return ChartStmt(name, self.block(self.coordinate))
+
+    def coordinate(self):
+        coord = self.weighted()
+        self.expect(";")
+        return coord
 
     def stmt_qfield(self):
-        t = self.next()
         name = self.ident()
-        self.expect("ident", "on")
+        self.expect("on")
         chart = self.ident()
-        degree = 1
-        if self.peek().kind == "ident" and self.peek().text == "deg":
-            self.next()
-            degree = self.expect_int()
-        self.expect("punct", "{")
-        comps = []
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            v = self.ident()
-            self.expect("punct", "->")
-            e = self.expression()
-            self.expect("punct", ";")
-            comps.append((v, e))
-        self.expect("punct", "}")
-        return QFieldStmt(name, chart, degree, comps, pos=(t.line, t.col))
+        degree = self.expect_int() if self.accept("deg") else 1
+        return QFieldStmt(name, chart, degree, self.block(self.component))
+
+    def component(self):
+        v = self.ident()
+        self.expect("->")
+        e = self.expression()
+        self.expect(";")
+        return v, e
 
     def stmt_sigma(self):
-        t = self.next()
         name = self.ident()
-        self.expect("ident", "deg")
-        degree = self.expect_int()
-        self.expect("ident", "pairs")
-        self.expect("punct", "{")
-        pairs = []
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            self.expect("punct", "(")
-            q = self.ident()
-            self.expect("punct", ":")
-            wq = self.expect_int()
-            self.expect("punct", ",")
-            p = self.ident()
-            self.expect("punct", ":")
-            wp = self.expect_int()
-            sign = Fraction(1)
-            if self.peek().kind == "punct" and self.peek().text == ",":
-                self.next()
-                self.expect("ident", "sign")
-                sign = self.expect_rational()
-            self.expect("punct", ")")
-            self.expect("punct", ";")
-            pairs.append((q, wq, p, wp, sign))
-        self.expect("punct", "}")
-        return SigmaStmt(name, degree, pairs, pos=(t.line, t.col))
+        degree = self.int_after("deg")
+        self.expect("pairs")
+        return SigmaStmt(name, degree, self.block(self.darboux_pair))
 
-    def stmt_ham(self):
-        t = self.next()
+    def darboux_pair(self):
+        self.expect("(")
+        q, wq = self.weighted()
+        self.expect(",")
+        p, wp = self.weighted()
+        sign = Fraction(1)
+        if self.accept(","):
+            self.expect("sign")
+            sign = self.expect_rational()
+        self.expect(")")
+        self.expect(";")
+        return q, wq, p, wp, sign
+
+    def stmt_ham(self, cls=HamStmt):
         name = self.ident()
-        self.expect("ident", "on")
+        self.expect("on")
         target = self.ident()
-        self.expect("punct", "=")
-        e = self.expression()
-        self.expect("punct", ";")
-        return HamStmt(name, target, e, pos=(t.line, t.col))
+        return cls(name, target, self.assigned(self.expression))
 
     def stmt_form(self):
-        t = self.next()
-        name = self.ident()
-        self.expect("ident", "on")
-        target = self.ident()
-        self.expect("punct", "=")
-        e = self.expression()
-        self.expect("punct", ";")
-        return FormStmt(name, target, e, pos=(t.line, t.col))
+        return self.stmt_ham(FormStmt)
 
     def stmt_algebroid(self):
-        t = self.next()
         name = self.ident()
-        self.expect("ident", "base")
-        base = self.expect_int()
-        self.expect("ident", "fiber")
-        fiber = self.expect_int()
-        self.expect("punct", "{")
-        anchors, structures = [], []
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            key = self.ident()
-            if key == "rho":
-                a = self.expect_int()
-                i = self.expect_int()
-                self.expect("punct", "=")
-                e = self.expression()
-                self.expect("punct", ";")
-                anchors.append((a, i, e))
-            elif key == "c":
-                k = self.expect_int()
-                i = self.expect_int()
-                j = self.expect_int()
-                self.expect("punct", "=")
-                e = self.expression()
-                self.expect("punct", ";")
-                structures.append((k, i, j, e))
-            else:
-                self.error(f"expected 'rho' or 'c', found {key!r}")
-        self.expect("punct", "}")
-        return AlgebroidStmt(name, base, fiber, anchors, structures, pos=(t.line, t.col))
+        base = self.int_after("base")
+        fiber = self.int_after("fiber")
+        entries = self.keyed({"rho": 2, "c": 3}, self.expression)
+        return AlgebroidStmt(name, base, fiber, entries["rho"], entries["c"])
 
     def stmt_algebra(self):
-        t = self.next()
         name = self.ident()
-        nxt = self.peek()
-        if nxt.kind == "ident" and nxt.text in ("so3", "sl2"):
-            self.next()
-            self.expect("punct", ";")
-            return AlgebraStmt(name, nxt.text, None, [], [], pos=(t.line, t.col))
-        self.expect("ident", "dim")
-        dim = self.expect_int()
-        self.expect("punct", "{")
-        structures, inner = [], []
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            key = self.ident()
-            if key == "c":
-                k = self.expect_int()
-                i = self.expect_int()
-                j = self.expect_int()
-                self.expect("punct", "=")
-                v = self.expect_rational()
-                self.expect("punct", ";")
-                structures.append((k, i, j, v))
-            elif key == "ip":
-                i = self.expect_int()
-                j = self.expect_int()
-                self.expect("punct", "=")
-                v = self.expect_rational()
-                self.expect("punct", ";")
-                inner.append((i, j, v))
-            else:
-                self.error(f"expected 'c' or 'ip', found {key!r}")
-        self.expect("punct", "}")
-        return AlgebraStmt(name, None, dim, structures, inner, pos=(t.line, t.col))
+        builtin = self.peek().text
+        if self.accept("so3") or self.accept("sl2"):
+            self.expect(";")
+            return AlgebraStmt(name, builtin, None, [], [])
+        dim = self.int_after("dim")
+        entries = self.keyed({"c": 3, "ip": 2}, self.expect_rational)
+        return AlgebraStmt(name, None, dim, entries["c"], entries["ip"])
 
     def stmt_twist(self):
-        t = self.next()
         name = self.ident()
-        self.expect("ident", "base")
-        base = self.expect_int()
-        self.expect("ident", "deg")
-        degree = self.expect_int()
-        self.expect("punct", "=")
-        e = self.expression()
-        self.expect("punct", ";")
-        return TwistStmt(name, base, degree, e, pos=(t.line, t.col))
+        base = self.int_after("base")
+        degree = self.int_after("deg")
+        return TwistStmt(name, base, degree, self.assigned(self.expression))
 
     def stmt_pair(self):
-        t = self.next()
         name = self.ident()
-        self.expect("ident", "base")
-        base = self.expect_int()
-        self.expect("ident", "deg")
-        degree = self.expect_int()
-        self.expect("punct", "{")
-        vector, alpha = [], Num(Fraction(0))
-        while not (self.peek().kind == "punct" and self.peek().text == "}"):
-            key = self.ident()
-            if key == "v":
-                i = self.expect_int()
-                self.expect("punct", "=")
-                e = self.expression()
-                self.expect("punct", ";")
-                vector.append((i, e))
-            elif key == "alpha":
-                self.expect("punct", "=")
-                alpha = self.expression()
-                self.expect("punct", ";")
-            else:
-                self.error(f"expected 'v' or 'alpha', found {key!r}")
-        self.expect("punct", "}")
-        return PairStmt(name, base, degree, vector, alpha, pos=(t.line, t.col))
+        base = self.int_after("base")
+        degree = self.int_after("deg")
+        entries = self.keyed({"v": 1, "alpha": 0}, self.expression)
+        # the last `alpha = ...;` wins; without one, alpha is 0
+        alpha = entries["alpha"][-1][0] if entries["alpha"] else Num(Fraction(0))
+        return PairStmt(name, base, degree, entries["v"], alpha)
 
     def stmt_load(self):
-        t = self.next()
         kind = self.ident()
         if kind not in ("path", "grid", "complex"):
             self.error(f"load expects path|grid|complex, found {kind!r}")
         name = self.ident()
-        fn = self.expect("string").text
-        self.expect("punct", ";")
-        return LoadStmt(kind, name, fn, pos=(t.line, t.col))
+        fn = self.take("string")
+        self.expect(";")
+        return LoadStmt(kind, name, fn)
 
     def stmt_save(self):
-        t = self.next()
         name = self.ident()
-        fn = self.expect("string").text
-        self.expect("punct", ";")
-        return SaveStmt(name, fn, pos=(t.line, t.col))
+        fn = self.take("string")
+        self.expect(";")
+        return SaveStmt(name, fn)
 
     def stmt_complex(self):
-        t = self.next()
         name = self.ident()
         kind = self.ident()
-        if kind == "torus" or kind == "cylinder":
-            m1 = self.expect_int()
-            m2 = self.expect_int()
-            surface = (kind, m1, m2)
+        if kind in ("torus", "cylinder"):
+            surface = (kind, self.expect_int(), self.expect_int())
         elif kind in ("interval", "disk"):
             surface = (kind, self.expect_int())
         else:
@@ -693,36 +594,29 @@ class _Parser:
             fiber2 = self.expect_int()
         else:
             self.error(f"expected 'fiber' or 'fiber2', found {key!r}")
-        self.expect("punct", ";")
-        return ComplexStmt(name, surface, fiber, fiber2, pos=(t.line, t.col))
+        self.expect(";")
+        return ComplexStmt(name, surface, fiber, fiber2)
 
     def stmt_nmap(self):
-        t = self.next()
         name = self.ident()
-        self.expect("ident", "on")
+        self.expect("on")
         target = self.ident()
-        dim = None
-        if self.peek().kind == "ident" and self.peek().text == "dim":
-            self.next()
-            dim = self.expect_int()
-        self.expect("punct", ";")
-        return NMapStmt(name, target, dim, pos=(t.line, t.col))
+        dim = self.expect_int() if self.accept("dim") else None
+        self.expect(";")
+        return NMapStmt(name, target, dim)
 
     def stmt_check(self):
-        t = self.next()
         name = self.ident()
         # allow hyphenated check names: boundary-lagrangian
-        while self.peek().kind == "punct" and self.peek().text == "-":
-            self.next()
+        while self.accept("-"):
             name += "-" + self.ident()
         args = []
-        while not (self.peek().kind == "punct" and self.peek().text == ";"):
+        while not self.accept(";"):
             tok = self.next()
             if tok.kind not in ("ident", "int", "string"):
                 self.error(f"unexpected check argument {tok.text!r}", tok)
             args.append(tok.text)
-        self.expect("punct", ";")
-        return CheckStmt(name, args, pos=(t.line, t.col))
+        return CheckStmt(name, args)
 
 
 def parse(source: str) -> Program:

@@ -14,6 +14,7 @@ from .forms import TangentChart, dorfman_bracket
 from .graded_algebra import GPoly, divided, substitute
 from .linalg import as_matrix, collect, dot, rank, rational
 from .nq_core import Derivation, commutator
+from .sigma_structures import AlgebroidData, algebroid_to_q
 
 # ---------------------------------------------------------------------------
 # Twisted R[n]-fibers over T[1]R^m
@@ -329,8 +330,6 @@ def cartan_3form(g: QuadraticLieAlgebra) -> GPoly:
     xi1..xid of weight 1), so the Chevalley-Eilenberg Q applies directly.
     The 1/6 normalization is this module's recorded choice.
     """
-    from .sigma_structures import AlgebroidData
-
     chart = AlgebroidData(0, g.dim, {}, {}).chart
     xi = [chart.var(f"xi{i}") for i in range(1, g.dim + 1)]
     terms = []
@@ -344,8 +343,6 @@ def cartan_3form(g: QuadraticLieAlgebra) -> GPoly:
 
 def chevalley_eilenberg_q(g: QuadraticLieAlgebra) -> Derivation:
     """The zero-anchor algebroid differential of g on its shifted chart."""
-    from .sigma_structures import AlgebroidData, algebroid_to_q
-
     c = {(k + 1, i + 1, j + 1): x for (i, j), vec in g.brackets.items() if i < j
          for k, x in vec.items()}
     return algebroid_to_q(AlgebroidData(0, g.dim, {}, c))

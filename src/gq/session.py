@@ -312,8 +312,6 @@ class Session:
 
     def _do_NMapStmt(self, st):
         dchart = self.get(st.target, "sigma", pos=st.pos)
-        if st.dim is not None and st.dim < 0:
-            raise SemanticError(f"N-map source dimension {st.dim} is negative", *st.pos)
         self.bind(st.name, "nmap", cx.nmap_space(dchart, st.dim), st.pos)
 
     def _do_CheckStmt(self, st):
@@ -354,11 +352,15 @@ def _check_args(session: Session, st: dsl.CheckStmt):
         raise SemanticError(f"{st.check}: {msg} (usage: {usage})", *st.pos)
 
     def integer(tok, what, least=1):
-        if not re.fullmatch(r"-?\d+", tok):
+        if not re.fullmatch(r"-?[0-9]+", tok):
             fail(f"{what} must be an integer, got {tok!r}")
-        if int(tok) < least:
+        try:
+            n = int(tok)
+        except ValueError:                        # past Python's digit limit
+            fail(f"{what} of {len(tok.lstrip('-'))} digits is too long")
+        if n < least:
             fail(f"{what} must be at least {least}, got {tok}")
-        return int(tok)
+        return n
 
     args, values, marked = list(st.args), [], {}
     for group, item in _FORM_ITEM.findall(form):

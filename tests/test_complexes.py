@@ -1,6 +1,7 @@
 """Exact cochain complexes, lattice surface models, and the boundary lemmas."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -449,6 +450,16 @@ def test_two_term_fiber_needs_positive_degree():
 def test_nmap_negative_source_dimension_rejected():
     with pytest.raises(ValueError, match="negative"):
         nmap_space(poisson_chart(1), -1)
+
+
+def test_perm_sign_of_a_concatenation_counts_cross_inversions():
+    """nmap_space signs a wedge of the sorted, disjoint index sets S and T by
+    `_perm_sign(S + T)`, which is (-1)^#{(s, t): s > t}."""
+    subsets = [c for k in range(7) for c in itertools.combinations(range(1, 7), k)]
+    for S in subsets:
+        for T in subsets:
+            if set(S).isdisjoint(T):
+                assert cx._perm_sign(S + T) == (-1) ** sum(s > t for s in S for t in T)
 
 
 def test_nmap_total_dims_binomial():

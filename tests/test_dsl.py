@@ -427,6 +427,31 @@ def test_cli_zero_denominator_exits_2(tmp_path, capsys, source, where):
     assert f"{where} zero denominator" in capsys.readouterr().err
 
 
+_LONG = "9" * 5000
+_TOO_LONG = "of 5000 digits is too long"
+
+
+@pytest.mark.parametrize("source,message", [
+    ("chart C { x: ²; }", "1:14: unexpected character '²'"),
+    ("algebra G dim 1 { ip 1 1 = 1/²; }", "1:30: unexpected character '²'"),
+    ("chart C { x: ٣; }", "1:14: unexpected character '٣'"),
+    (f"chart C {{ x:0; }}\nham H on C = {_LONG};", f"2:14: integer literal {_TOO_LONG}"),
+    (f"chart C {{ x:0; }}\nham H on C = x^{_LONG};", f"2:16: integer literal {_TOO_LONG}"),
+    (f"algebra G so3;\ncheck cocycle G modes {_LONG};", f"2:1: cocycle: modes {_TOO_LONG}"),
+    (f'algebra G so3;\ncheck cocycle G modes "-{_LONG}";', f"2:1: cocycle: modes {_TOO_LONG}"),
+    ('algebra G so3;\ncheck cocycle G modes "٣";',
+     "2:1: cocycle: modes must be an integer, got '٣'"),
+], ids=["superscript-weight", "superscript-denominator", "arabic-indic-weight",
+        "long-coefficient", "long-exponent", "long-check-argument",
+        "long-string-argument", "arabic-indic-string-argument"])
+def test_cli_numeral_outside_ascii_or_digit_limit_exits_2(tmp_path, capsys, source, message):
+    f = tmp_path / "p.gq"
+    f.write_text(source)
+    assert cli_main(["run", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}:{message}") and len(err.strip().splitlines()) == 1
+
+
 _NODES_1X1 = "".join(f"node {i} {j} 1 0 0 0\n" for i in (0, 1) for j in (0, 1))
 
 
