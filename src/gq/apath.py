@@ -21,6 +21,11 @@ __all__ = [
     "group_residual", "save_apath", "load_apath", "constant_path",
 ]
 
+# largest base gap that `concatenate` joins, and largest
+# `APath.anchor_residual` that `action_integrate` accepts
+_JOIN_TOL = 1e-9
+_COMPAT_TOL = 0.05
+
 
 class APath:
     """Samples (t_j, a_j) with t in [0,1] increasing, a_j square matrices.
@@ -64,16 +69,11 @@ class APath:
         his = np.concatenate([jumps, [len(self.times) - 1]])
         return [(int(lo), int(hi)) for lo, hi in zip(los, his) if hi > lo]
 
-    def anchor_residual(self, action=None) -> float:
-        """Max deviation of the base slope from the anchor direction.
-
-        action(a, x) defaults to the matrix-vector product a @ x; the residual
-        is the discrete form of the compatibility gamma' = rho(a) gamma.
-        """
+    def anchor_residual(self) -> float:
+        """Max deviation of the base slope from the anchor direction a @ x:
+        the discrete form of the compatibility gamma' = rho(a) gamma."""
         if self.base is None:
             raise ValueError("path has no base samples")
-        if action is None:
-            action = lambda a, x: a @ x
         worst = 0.0
         for j in range(len(self.times) - 1):
             dt = self.times[j + 1] - self.times[j]
@@ -82,7 +82,7 @@ class APath:
             slope = (self.base[j + 1] - self.base[j]) / dt
             mid_a = 0.5 * (self.mats[j] + self.mats[j + 1])
             mid_x = 0.5 * (self.base[j] + self.base[j + 1])
-            worst = max(worst, float(np.max(np.abs(slope - action(mid_a, mid_x)))))
+            worst = max(worst, float(np.max(np.abs(slope - mid_a @ mid_x))))
         return worst
 
 
@@ -95,12 +95,10 @@ class GroupoidElement:
     target: np.ndarray | None = None
 
 
-def group_residual(g: np.ndarray, orthogonal=True) -> float:
+def group_residual(g: np.ndarray) -> float:
     """Distance from the structure group: orthogonality defect and det - 1."""
-    res = abs(float(np.linalg.det(g)) - 1.0)
-    if orthogonal:
-        res = max(res, float(np.max(np.abs(g.T @ g - np.eye(g.shape[0])))))
-    return res
+    return max(abs(float(np.linalg.det(g)) - 1.0),
+               float(np.max(np.abs(g.T @ g - np.eye(g.shape[0])))))
 
 
 def _lerp(times, vals, t, lo, hi):
@@ -167,7 +165,7 @@ def integrate(p: APath, steps: int = 10_000) -> GroupoidElement:
     return GroupoidElement(g, src, tgt)
 
 
-def concatenate(p: APath, q: APath, tol: float = 1e-9) -> APath:
+def concatenate(p: APath, q: APath) -> APath:
     """Time-rescaled concatenation: p on [0, 1/2], q on [1/2, 1].
 
     Sample values double (the ODE is reparametrization-covariant), so
@@ -178,7 +176,7 @@ def concatenate(p: APath, q: APath, tol: float = 1e-9) -> APath:
         raise ValueError("paths have different matrix dimensions")
     if (p.base is None) != (q.base is None):
         raise CompositionError("cannot concatenate a based path with an unbased one")
-    if p.base is not None and np.max(np.abs(p.base[-1] - q.base[0])) > tol:
+    if p.base is not None and np.max(np.abs(p.base[-1] - q.base[0])) > _JOIN_TOL:
         raise CompositionError("target of the first path differs from source of the second")
     times = np.concatenate([p.times * 0.5, 0.5 + q.times * 0.5])
     mats = np.concatenate([p.mats * 2.0, q.mats * 2.0])
@@ -230,20 +228,21 @@ def reparametrize_check(p: APath, phi_samples, steps: int = 10_000) -> float:
     return float(np.max(np.abs(g1 - g2)))
 
 
-def action_integrate(p: APath, steps: int = 10_000, compat_tol: float = 0.05,
+def action_integrate(p: APath, steps: int = 10_000,
                      transport_tol: float = 1e-6) -> GroupoidElement:
     """Integrate a linear action-algebroid path: group transport of the base.
 
-    The group element solves the time-ordered ODE G' = a(t) G, so that
+    The base curve must follow the anchor within `_COMPAT_TOL`. The group
+    element solves the time-ordered ODE G' = a(t) G, so that
     target = G(1) gamma(0); it must reach the recorded endpoint gamma(1)
     of the base curve within transport_tol.
     """
     if p.base is None:
         raise ValueError("action_integrate needs base samples")
     res = p.anchor_residual()
-    if res > compat_tol:
+    if res > _COMPAT_TOL:
         raise InconsistentPathError(
-            f"anchor compatibility residual {res:.3e} exceeds {compat_tol:.3e}")
+            f"anchor compatibility residual {res:.3e} exceeds {_COMPAT_TOL:.3e}")
     g = _integrate_blocks(p, steps, left=False)
     target = g @ p.base[0]
     drift = float(np.max(np.abs(target - p.base[-1])))

@@ -293,12 +293,21 @@ class NMapStmt:
 @dataclass
 class CheckStmt:
     check: str
-    args: list              # strings (identifiers/ints) in order
+    args: list              # token texts (identifiers, ints, strings) in order
     pos: tuple = _pos_field()
 
     def render(self):
-        args = "".join(f" {a}" for a in self.args)
+        args = "".join(f" {_render_arg(a)}" for a in self.args)
         return f"check {self.check}{args};"
+
+
+def _render_arg(text: str) -> str:
+    """Bare if `text` tokenizes as one identifier or numeral, else quoted."""
+    try:
+        (kind, word, *_), _eof = tokenize(text)
+    except (ParseError, ValueError):          # not exactly one token
+        kind = None
+    return text if kind in ("ident", "int") and word == text else f'"{text}"'
 
 
 @dataclass

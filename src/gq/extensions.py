@@ -14,7 +14,7 @@ from .forms import TangentChart, dorfman_bracket
 from .graded_algebra import GPoly, divided, substitute
 from .linalg import as_matrix, collect, dot, rank, rational
 from .nq_core import Derivation, commutator
-from .sigma_structures import AlgebroidData, algebroid_to_q
+from .sigma_structures import AlgebroidData, algebroid_chart, algebroid_to_q, skew_table
 
 # ---------------------------------------------------------------------------
 # Twisted R[n]-fibers over T[1]R^m
@@ -121,7 +121,7 @@ class QuadraticLieAlgebra:
     """Structure constants plus an invariant nondegenerate symmetric form.
 
     c[(k, i, j)]: rational c^k_ij in [e_i, e_j] = c^k_ij e_k, 1-based and
-    antisymmetric in (i, j) (entries with i < j determine the rest); ip: the
+    antisymmetric in (i, j) (`sigma_structures.skew_table`); ip: the
     form as a `linalg.Matrix` or nested list of rows. Stored 0-based as
     brackets[(i, j)] = {k: c} for every nonzero bracket, both orders filled
     in, and ip as a `Matrix`; vectors are dicts {index: entry}. Jacobi and
@@ -131,20 +131,8 @@ class QuadraticLieAlgebra:
     def __init__(self, dim: int, c, ip):
         self.dim = dim
         self.brackets = {}
-        for (k, i, j), val in c.items():
-            val = rational(val)
-            if not all(1 <= t <= dim for t in (k, i, j)):
-                raise ValueError(f"structure index out of range: {(k, i, j)}")
-            if i == j:
-                if val != 0:
-                    raise ValueError("structure constants must vanish for i == j")
-                continue
-            if val == 0:
-                continue
-            if i > j:
-                i, j, val = j, i, -val
-            if self.brackets.setdefault((i - 1, j - 1), {}).setdefault(k - 1, val) != val:
-                raise ValueError(f"conflicting structure constants at {(k, i, j)}")
+        for (k, i, j), val in skew_table(c, dim, rational, "structure constants").items():
+            self.brackets.setdefault((i - 1, j - 1), {})[k - 1] = val
         for (i, j), vec in list(self.brackets.items()):
             self.brackets[(j, i)] = {k: -x for k, x in vec.items()}
         self.ip = as_matrix(ip)
@@ -330,7 +318,7 @@ def cartan_3form(g: QuadraticLieAlgebra) -> GPoly:
     xi1..xid of weight 1), so the Chevalley-Eilenberg Q applies directly.
     The 1/6 normalization is this module's recorded choice.
     """
-    chart = AlgebroidData(0, g.dim, {}, {}).chart
+    chart = algebroid_chart(0, g.dim)
     xi = [chart.var(f"xi{i}") for i in range(1, g.dim + 1)]
     terms = []
     for (j, k), vec in g.brackets.items():
@@ -474,6 +462,10 @@ def su2_bracket(x, y):
     return 2.0 * np.cross(x, y)
 
 
+# largest deviation of a grid node's quaternion norm from 1
+_UNIT_TOL = 1e-12
+
+
 class GridMap:
     """A map sampled on a rectangular grid over [0,1]^2 plus a per-cell 2-form.
 
@@ -481,7 +473,7 @@ class GridMap:
     samples, shape (N1, N2).
     """
 
-    def __init__(self, values, omega=None, tol=1e-12):
+    def __init__(self, values, omega=None):
         values = np.asarray(values, dtype=float)
         if values.ndim != 3 or values.shape[-1] != 4:
             raise ValueError("values must be quaternions of shape (N1+1, N2+1, 4)")
@@ -490,7 +482,7 @@ class GridMap:
         if not np.all(np.isfinite(values)):
             raise ValueError("grid values must be finite")
         err = np.max(np.abs(np.linalg.norm(values, axis=-1) - 1.0))
-        if err > tol:
+        if err > _UNIT_TOL:
             raise StructureError(f"quaternion norms off unit by {err:.3e}")
         self.values = values
         n1, n2 = values.shape[0] - 1, values.shape[1] - 1

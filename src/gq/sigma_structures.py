@@ -213,33 +213,43 @@ def derived_bracket(dchart: DarbouxChart, theta, e1: GPoly, e2: GPoly) -> GPoly:
     return poisson_bracket(dchart, poisson_bracket(dchart, theta, e1), e2)
 
 
+def skew_table(entries, n: int, coerce, what: str) -> dict:
+    """Validate a table keyed (..., i, j), antisymmetric in (i, j): every index
+    in [1, n], each value coerced once, zero for i == j, and the two orders of
+    a pair agreeing, zeros included. Returns the nonzero values keyed with
+    i < j, in first-seen order; `what` names the table in errors."""
+    table = {}
+    for key, value in entries.items():
+        if not all(1 <= t <= n for t in key):
+            raise ValueError(f"index out of range in {what}: {key}")
+        value = coerce(value)
+        *head, i, j = key
+        if i == j:
+            if value != 0:
+                raise ValueError(f"{what} must vanish for i == j at {key}")
+            continue
+        if i > j:
+            key, value = (*head, j, i), -value
+        if table.setdefault(key, value) != value:
+            raise ValueError(f"conflicting {what} at {key}")
+    return {key: value for key, value in table.items() if value != 0}
+
+
 def poisson_theta(dchart: DarbouxChart, pi) -> GPoly:
     """Hamiltonian lift of a bivector: Theta_pi = -1/2 pi^{ab} p_a p_b.
 
-    pi: mapping (a, b) -> weight-0 polynomial (or rational), antisymmetric;
-    missing entries default to 0, entries with a > b follow by antisymmetry.
+    pi: mapping (a, b) -> weight-0 polynomial (or rational), antisymmetric
+    (`skew_table`); missing entries default to 0.
     The normalization makes derived_bracket(Theta_pi, x^a, x^b) = pi^{ab}.
     """
     if dchart.n != 1:
         raise GradingError("poisson_theta lives on a degree-1 chart")
-    m = len(dchart.pairs)
-    upper = {}
-    for (a, b), coeff in pi.items():
-        if not (1 <= a <= m and 1 <= b <= m):
-            raise ValueError(f"bivector index out of range: {(a, b)}")
-        if not isinstance(coeff, GPoly):
-            coeff = dchart.chart.const(coeff)
-        if a == b:
-            if not coeff.is_zero():
-                raise ValueError("bivector entries must vanish on the diagonal")
-            continue
-        key, val = ((a, b), coeff) if a < b else ((b, a), -coeff)
-        if key in upper and upper[key] != val:
-            raise ValueError(f"conflicting bivector entries at {key}")
-        upper[key] = val
+    chart = dchart.chart
+    upper = skew_table(pi, len(dchart.pairs),
+                       lambda v: v if isinstance(v, GPoly) else chart.const(v), "bivector entries")
     # the (a,b) and (b,a) orders of the 1/2 pi^{ab} p_a p_b sum coincide
-    return dchart.chart.sum(-coeff * dchart.var(f"p{a}") * dchart.var(f"p{b}")
-                            for (a, b), coeff in upper.items())
+    return chart.sum(-coeff * chart.var(f"p{a}") * chart.var(f"p{b}")
+                     for (a, b), coeff in upper.items())
 
 
 def courant_theta(dchart: DarbouxChart, eta: GPoly | None = None) -> GPoly:
@@ -292,20 +302,24 @@ def section_decode(dchart: DarbouxChart, e: GPoly):
 # -- Lie algebroids as degree-1 Q-structures --------------------------------
 
 
+def algebroid_chart(m: int, r: int) -> Chart:
+    """The A[1] chart: x1..xm of weight 0 and xi1..xir of weight 1."""
+    return Chart([GVar(f"x{a}", 0) for a in range(1, m + 1)]
+                 + [GVar(f"xi{i}", 1) for i in range(1, r + 1)])
+
+
 class AlgebroidData:
     """Anchor and structure functions of a Lie algebroid in coordinates.
 
     base_dim m, fiber_dim r; rho[(a, i)] and c[(k, i, j)] are weight-0
-    polynomials on the A[1] chart (x1..xm of weight 0, xi1..xir of weight 1);
-    c is antisymmetric in (i, j): entries with i < j determine the rest.
+    polynomials on the A[1] chart (`algebroid_chart`); c is antisymmetric in
+    (i, j) (`skew_table`) and stored with i < j.
     """
 
     def __init__(self, base_dim: int, fiber_dim: int, rho=None, c=None):
         self.base_dim = base_dim
         self.fiber_dim = fiber_dim
-        gvars = [GVar(f"x{a}", 0) for a in range(1, base_dim + 1)]
-        gvars += [GVar(f"xi{i}", 1) for i in range(1, fiber_dim + 1)]
-        self.chart = Chart(gvars)
+        self.chart = algebroid_chart(base_dim, fiber_dim)
         self.rho = {}
         for (a, i), poly in (rho or {}).items():
             if not (1 <= a <= base_dim and 1 <= i <= fiber_dim):
@@ -313,21 +327,7 @@ class AlgebroidData:
             poly = self._coerce(poly)
             if not poly.is_zero():
                 self.rho[(a, i)] = poly
-        self.c = {}
-        for (k, i, j), poly in (c or {}).items():
-            if not all(1 <= t <= fiber_dim for t in (k, i, j)):
-                raise ValueError(f"structure index out of range: {(k, i, j)}")
-            if i == j:
-                if not self._coerce(poly).is_zero():
-                    raise ValueError("c must vanish on repeated lower indices")
-                continue
-            poly = self._coerce(poly)
-            if poly.is_zero():
-                continue
-            key, val = ((k, i, j), poly) if i < j else ((k, j, i), -poly)
-            if key in self.c and self.c[key] != val:
-                raise ValueError(f"conflicting values for c{key}")
-            self.c[key] = val
+        self.c = skew_table(c or {}, fiber_dim, self._coerce, "structure functions")
 
     def _coerce(self, poly) -> GPoly:
         if not isinstance(poly, GPoly):

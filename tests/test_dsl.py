@@ -188,8 +188,21 @@ def _statements(st, runnable=False):
         st.builds(dsl.ComplexStmt, name, surface, name, st.none()),
         st.builds(dsl.ComplexStmt, name, surface, st.none(), n),
         st.builds(dsl.NMapStmt, name, name, st.none() | n),
-        st.builds(dsl.CheckStmt, check_name,
-                  lists(name | st.integers(0, 10**20).map(str), max_size=4)))
+        st.builds(dsl.CheckStmt, check_name, lists(
+            name | st.integers(0, 10**20).map(str)
+            | st.text(st.characters(blacklist_characters='"\n'), max_size=4), max_size=4)))
+
+
+@pytest.mark.parametrize("source, rendered", [
+    ('check dirac TH constraints "a b";', 'check dirac TH constraints "a b";\n'),
+    ('check q2 "#";', 'check q2 "#";\n'),
+    ('check q2 "-3";', 'check q2 "-3";\n'),
+    ('check q2 "x" "12" "";', 'check q2 x 12 "";\n'),
+])
+def test_render_quotes_string_check_arguments(source, rendered):
+    program = dsl.parse(source)
+    assert dsl.render(program) == rendered
+    assert dsl.parse(rendered) == program
 
 
 def test_render_parse_roundtrip_property():
@@ -592,6 +605,14 @@ COURANT_3 = ("sigma S deg 2 pairs { "
      "inner product index out of range: (2, 0)"),
     (COURANT_1 + "ham TH on S = theta*p;\ncheck dirac TH constraints q9;", "3:1",
      "dirac: constraint 'q9' is not a Darboux coordinate"),
+    ("algebroid A base 0 fiber 2 { c 1 1 2 = 1; c 1 2 1 = 0; }\ncheck alground A;", "1:1",
+     "conflicting structure functions at (1, 1, 2)"),
+    ("algebroid A base 1 fiber 2 { c 1 1 2 = x1; c 1 2 1 = x1; }", "1:1",
+     "conflicting structure functions at (1, 1, 2)"),
+    ("algebra G dim 2 { c 1 2 1 = 0; c 1 1 2 = 1; ip 1 1 = 1; ip 2 2 = 1; }", "1:1",
+     "conflicting structure constants at (1, 1, 2)"),
+    ("algebra G so3;\ncheck cocycle G modes 65;", "2:1",
+     "cocycle: modes must be at most 64, got 65"),
 ])
 def test_cli_construction_error_exits_2(tmp_path, capsys, source, where, message):
     f = tmp_path / "p.gq"

@@ -8,13 +8,14 @@ import pytest
 
 from gq import (
     AlgebroidData, ConjugatePair, DarbouxChart, GPoly, GradingError, Hamiltonian,
-    StructureError, TangentChart, UnsupportedInputError, algebroid_to_q,
+    QuadraticLieAlgebra, StructureError, TangentChart, chevalley_eilenberg_q, UnsupportedInputError, algebroid_to_q,
     courant_chart, courant_theta, derived_bracket, dorfman_bracket,
     hamiltonian_to_q, lambda_check, left_derivative, master_equation,
     poisson_bracket, poisson_chart, poisson_theta, q_square, q_to_algebroid,
     q_to_hamiltonian, section_decode, section_encode, Derivation,
 )
 from gq.graded_algebra import _derivative
+from gq.sigma_structures import algebroid_chart
 from conftest import given, homogeneous_pieces, random_poly
 
 
@@ -535,18 +536,91 @@ def test_algebroid_to_q_examples():
 def test_algebroid_roundtrip_random(rng):
     for _ in range(20):
         m, r = rng.randint(1, 2), rng.randint(1, 3)
-        A0 = AlgebroidData(m, r)
+        chart = algebroid_chart(m, r)
         rho = {}
         for a in range(1, m + 1):
             for i in range(1, r + 1):
-                rho[(a, i)] = _random_base(A0.chart, [f"x{b}" for b in range(1, m + 1)], rng, 1)
+                rho[(a, i)] = _random_base(chart, [f"x{b}" for b in range(1, m + 1)], rng, 1)
         c = {}
         for k in range(1, r + 1):
             for i in range(1, r + 1):
                 for j in range(i + 1, r + 1):
-                    c[(k, i, j)] = _random_base(A0.chart, [f"x{b}" for b in range(1, m + 1)], rng, 1)
+                    c[(k, i, j)] = _random_base(chart, [f"x{b}" for b in range(1, m + 1)], rng, 1)
         A = AlgebroidData(m, r, rho, c)
         assert q_to_algebroid(algebroid_to_q(A)) == A
+
+
+# one bad antisymmetric table on (i, j), n = 2, for every entry point
+_BAD_SKEW = {
+    "index-zero": {(0, 1): 1},
+    "index-above": {(1, 3): 1},
+    "diagonal": {(2, 2): 1},
+    "conflict": {(1, 2): 1, (2, 1): 1},
+    "zero-then-nonzero": {(1, 2): 0, (2, 1): 5},
+    "nonzero-then-zero": {(2, 1): 5, (1, 2): 0},
+}
+_SKEW_ENTRY_POINTS = {
+    "poisson_theta": lambda t: poisson_theta(poisson_chart(2), t),
+    "AlgebroidData": lambda t: AlgebroidData(0, 2, {}, {(1, *k): v for k, v in t.items()}),
+    "QuadraticLieAlgebra": lambda t: QuadraticLieAlgebra(
+        2, {(1, *k): v for k, v in t.items()}, [[1, 0], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("table", _BAD_SKEW.values(), ids=_BAD_SKEW.keys())
+@pytest.mark.parametrize("build", _SKEW_ENTRY_POINTS.values(), ids=_SKEW_ENTRY_POINTS.keys())
+def test_antisymmetric_tables_share_one_rule(build, table):
+    with pytest.raises(ValueError):
+        build(table)
+
+
+def test_antisymmetric_tables_accept_agreeing_orders_and_zero_diagonal():
+    dc = poisson_chart(2)
+    assert poisson_theta(dc, {(1, 2): 3, (2, 1): -3, (1, 1): 0}) == poisson_theta(dc, {(1, 2): 3})
+    A = AlgebroidData(0, 2, {}, {(1, 2, 1): -1, (1, 1, 2): 1, (2, 2, 2): 0, (2, 1, 2): 0})
+    assert A.c == {(1, 1, 2): A.chart.const(1)}
+
+
+def _so3_tables(st):
+    """so3 constants scaled by lam, each written in one order, the other or
+    both, plus up to two arbitrary entries (indices 0..4, values -1..1)."""
+    cyclic = [(3, 1, 2), (1, 2, 3), (2, 3, 1)]
+
+    def build(lam, orders, extra):
+        c = {}
+        for (k, i, j), order in zip(cyclic, orders):
+            if order != "ji":
+                c[(k, i, j)] = lam
+            if order != "ij":
+                c[(k, j, i)] = -lam
+        return {**c, **extra}
+
+    index = st.integers(0, 4)
+    return st.builds(build, st.integers(-2, 2),
+                     st.lists(st.sampled_from(["ij", "ji", "both"]), min_size=3, max_size=3),
+                     st.dictionaries(st.tuples(index, index, index), st.integers(-1, 1),
+                                     max_size=2))
+
+
+@given(_so3_tables)
+def test_algebroid_and_lie_algebra_tables_agree(c):
+    """AlgebroidData and QuadraticLieAlgebra accept and reject the same
+    tables, and a bound algebra's Chevalley-Eilenberg Q is the zero-anchor
+    algebroid's."""
+    try:
+        A = AlgebroidData(0, 3, {}, c)
+    except ValueError:
+        A = None
+    try:
+        g = QuadraticLieAlgebra(3, c, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    except ValueError:
+        assert A is None
+        return
+    except StructureError:                 # a valid table that is not a quadratic Lie algebra
+        g = None
+    assert A is not None
+    if g is not None:
+        assert chevalley_eilenberg_q(g) == algebroid_to_q(A)
 
 
 def test_q_to_algebroid_rejects_higher_degree():
