@@ -4,7 +4,13 @@ Exact supercommutative polynomial charts, Q-structures and their squares,
 degree-n symplectic brackets with derived Poisson/Courant brackets, twisted
 fibers and central extensions, path holonomy for matrix algebroids, and
 exact-rational symplectic cochain complexes, driven by a small DSL (`gq`).
+
+The floating-point modules, `apath` (path holonomy) and `grids` (maps into
+SU(2) sampled on a grid), import numpy. Their names are served on first
+access, so a purely exact program never loads it.
 """
+
+import importlib
 
 from .errors import (
     ChartMismatchError, CompositionError, GqError, GradingError,
@@ -28,17 +34,10 @@ from .sigma_structures import (
 )
 from .forms import TangentChart, dorfman_bracket
 from .extensions import (
-    GradedLieAlgebra, GridMap, QuadraticLieAlgebra, SymmetryPair, TwistData,
+    GradedLieAlgebra, QuadraticLieAlgebra, SymmetryPair, TwistData,
     affine_cocycle_check, broken_cocycle, cartan_3form, central_extension,
     chevalley_eilenberg_q, gauge_change, gauge_shift_consistent, iota_encode,
-    iota_self_bracket, load_gridmap, pair_decode, save_gridmap, sl2, so3,
-    symmetry_bracket, twisted_q, wzw_cross_term, wzw_descent_residual,
-    wzw_product,
-)
-from .apath import (
-    APath, GroupoidElement, action_integrate, concatenate, constant_path,
-    group_residual, integrate, load_apath, reparametrize, reparametrize_check,
-    reverse, save_apath,
+    iota_self_bracket, pair_decode, sl2, so3, symmetry_bracket, twisted_q,
 )
 from .complexes import (
     BoundaryLagrangianReport, CohomologyPairing, GradedComplex,
@@ -52,3 +51,25 @@ from .complexes import (
 )
 
 __version__ = "0.1.0"
+
+# float module -> the names served from it on first access
+_LAZY = {
+    "apath": ("APath", "GroupoidElement", "action_integrate", "concatenate",
+              "constant_path", "group_residual", "integrate", "load_apath",
+              "reparametrize", "reparametrize_check", "reverse", "save_apath"),
+    "grids": ("GridMap", "load_gridmap", "save_gridmap", "wzw_cross_term",
+              "wzw_descent_residual", "wzw_product"),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_HOME:
+        return getattr(importlib.import_module(f".{_LAZY_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})

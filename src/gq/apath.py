@@ -46,7 +46,7 @@ class APath:
             raise ValueError("samples must be finite")
         if abs(times[0]) > 1e-15 or abs(times[-1] - 1.0) > 1e-12:
             raise ValueError("paths are parametrized over [0, 1]")
-        if np.any(np.diff(times) < 0):
+        if np.any(times[1:] < times[:-1]):   # np.diff could overflow
             raise ValueError("times must be non-decreasing")
         self.times = times
         self.mats = mats

@@ -13,19 +13,32 @@ lists of rows are converted once, by `as_matrix`, where they enter the package.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+
+# an integer or p/q in ASCII digits: `Fraction` would also read decimals and
+# exponents, and "1e999999999" would build a billion-digit integer
+_RATIONAL_TEXT = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def rational(x):
     """An exact rational: an `int` when integral, a `Fraction` otherwise.
 
-    Accepts `int`, `str` (such as "1/2") and `Fraction`; anything else, a
-    float included, raises `TypeError`.
+    Accepts `int`, `Fraction` and a string `n` or `p/q` (such as "1/2");
+    another string raises `ValueError`, anything else, a float included,
+    `TypeError`.
     """
     if isinstance(x, int):
         return x
     if isinstance(x, str):
-        x = Fraction(x)
+        if not _RATIONAL_TEXT.fullmatch(x):
+            raise ValueError(f"not an integer or p/q: {x!r}")
+        num, _, den = x.partition("/")
+        den = int(den or 1)
+        if den == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+        x = Fraction(int(num), den)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")

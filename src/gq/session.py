@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
-from . import apath as ap
 from . import complexes as cx
 from . import dsl
 from . import extensions as ext
@@ -143,6 +140,16 @@ def _eval(expr, chart: Chart, tangent: TangentChart | None, pos):
     raise SemanticError(f"cannot evaluate expression {expr!r}", *pos)
 
 
+def _entries(pairs, what):
+    """The table of (key, value) pairs; a key written twice must repeat its
+    value. `what` names the table in errors."""
+    table = {}
+    for key, value in pairs:
+        if table.setdefault(key, value) != value:
+            raise ValueError(f"conflicting {what} at {key}")
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Session: bindings
 # ---------------------------------------------------------------------------
@@ -234,8 +241,10 @@ class Session:
 
     def _do_AlgebroidStmt(self, st):
         chart = sig.algebroid_chart(st.base, st.fiber)
-        rho = {(a, i): _eval(e, chart, None, st.pos) for a, i, e in st.anchors}
-        c = {(k, i, j): _eval(e, chart, None, st.pos) for k, i, j, e in st.structures}
+        rho = _entries((((a, i), _eval(e, chart, None, st.pos)) for a, i, e in st.anchors),
+                       "anchor entries")
+        c = _entries((((k, i, j), _eval(e, chart, None, st.pos)) for k, i, j, e in st.structures),
+                     "structure functions")
         self.bind(st.name, "algebroid", sig.AlgebroidData(st.base, st.fiber, rho, c), st.pos)
 
     def _do_AlgebraStmt(self, st):
@@ -244,7 +253,8 @@ class Session:
         elif st.builtin == "sl2":
             g = ext.sl2()
         else:
-            c = {(k, i, j): v for k, i, j, v in st.structures}
+            c = _entries((((k, i, j), rational(v)) for k, i, j, v in st.structures),
+                         "structure constants")
             ip = {}                       # the last assignment to a pair wins
             for i, j, v in st.inner:
                 if not (1 <= i <= st.dim and 1 <= j <= st.dim):
@@ -270,14 +280,16 @@ class Session:
         self.bind(st.name, "pair", ext.SymmetryPair(st.base, st.degree, v, alpha), st.pos)
 
     def _do_LoadStmt(self, st):
+        # paths and grids are numpy arrays: their modules load on first use
+        if st.kind == "path":
+            from .apath import load_apath as load
+        elif st.kind == "grid":
+            from .grids import load_gridmap as load
+        else:
+            load = cx.load_complex
         path = self.options.base_dir / st.filename
         try:
-            if st.kind == "path":
-                value = ap.load_apath(path)
-            elif st.kind == "grid":
-                value = ext.load_gridmap(path)
-            else:
-                value = cx.load_complex(path)
+            value = load(path)
         except (OSError, ValueError, GqError) as exc:
             raise SemanticError(f"cannot load {st.filename!r}: {exc}", *st.pos)
         self.bind(st.name, st.kind, value, st.pos)
@@ -289,9 +301,11 @@ class Session:
         value = self.bindings[st.name][1]
         path = self.options.base_dir / st.filename
         if kind == "path":
-            ap.save_apath(value, path)
+            from .apath import save_apath
+            save_apath(value, path)
         elif kind == "grid":
-            ext.save_gridmap(value, path)
+            from .grids import save_gridmap
+            save_gridmap(value, path)
         elif kind == "complex":
             target = value.total if isinstance(value, cx.RelativeComplex) else value
             cx.save_complex(target, path)
@@ -537,6 +551,10 @@ def check_cocycle(session, st, g, modes=4):
 
 
 def check_holonomy(session, st, p, q):
+    import numpy as np
+
+    from . import apath as ap
+
     steps = session.options.steps
     g = ap.integrate(ap.concatenate(p, q), steps).holonomy
     sep = ap.integrate(p, steps).holonomy @ ap.integrate(q, steps).holonomy
@@ -546,6 +564,10 @@ def check_holonomy(session, st, p, q):
 
 
 def check_reparam(session, st, p):
+    import numpy as np
+
+    from . import apath as ap
+
     s = np.linspace(0.0, 1.0, max(len(p.times), 4001))
     phi = np.stack([s, s * s * (3 - 2 * s)], axis=1)   # smooth, monotone, fixed ends
     res = ap.reparametrize_check(p, phi, session.options.steps)
@@ -554,7 +576,10 @@ def check_reparam(session, st, p):
 
 
 def check_exp(session, st, p):
+    import numpy as np
     from scipy.linalg import expm
+
+    from . import apath as ap
 
     if float(np.max(np.abs(p.mats - p.mats[0]))) > 0:
         return "fail", None, "exp check needs a constant path"
@@ -565,6 +590,10 @@ def check_exp(session, st, p):
 
 
 def check_action(session, st, p):
+    import numpy as np
+
+    from . import apath as ap
+
     el = ap.action_integrate(p, session.options.steps,
                              transport_tol=session.options.tolerance)
     res = float(np.max(np.abs(el.target - p.base[-1])))
@@ -814,16 +843,20 @@ def check_nmap(session, st, N):
 
 
 def check_wzw(session, st, a, b):
-    prod = ext.wzw_product(a, b)
+    import numpy as np
+
+    from . import grids
+
+    prod = grids.wzw_product(a, b)
     n1, n2 = a.nodes_shape
-    ident = ext.GridMap.identity(n1 - 1, n2 - 1)
-    right_unit = ext.wzw_product(a, ident)
+    ident = grids.GridMap.identity(n1 - 1, n2 - 1)
+    right_unit = grids.wzw_product(a, ident)
     if not (np.array_equal(right_unit.values, a.values)
             and np.array_equal(right_unit.omega, a.omega)):
         return "fail", None, "identity grid is not a right unit"
     inv = b.inverse()
-    cancel = ext.GridMap(inv.values, -b.omega - ext.wzw_cross_term(inv, b))
-    res = float(np.max(np.abs(ext.wzw_product(cancel, b).omega)))
+    cancel = grids.GridMap(inv.values, -b.omega - grids.wzw_cross_term(inv, b))
+    res = float(np.max(np.abs(grids.wzw_product(cancel, b).omega)))
     ok = res < 1e-9
     return _ok(ok, residual=float(np.max(np.abs(prod.omega))) if ok else res,
                witness_fail="inverse cancellation failed",

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,6 +264,76 @@ def test_parse_and_run_fuzz(tmp_path_factory):
     run()
 
 
+_VALID_DATA = {
+    "grid": "grid 1 2\n" + "".join(f"node {i} {j} 1 0 0 0\n" for i in (0, 1) for j in (0, 1, 2))
+            + "cell 0 0 0.25\ncell 0 1 -0.5\n",
+    "path": "dim 2\n0 0 -1 1 0\n0.5 0 -2 2 0\n1 0 -1 1 0\n",
+    "complex": "gqcomplex 1\ncomponent 0 1\ncomponent 1 2\ncomponent 2 1\n"
+               "differential 0\n1\n-1\ndifferential 1\n1 1\npairingdegree 2\n"
+               "pairing 0\n1\npairing 1\n0 1\n-1 0\npairing 2\n1\nend\n",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID_DATA))
+def test_data_file_fuzz(tmp_path_factory, kind):
+    """Mutated (non-finite values included), truncated and arbitrary data
+    files through `load`: exit 0, 1 or 2, and on 2 exactly one `error:` line."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    piece = st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e999", "1e999999999", "-1",
+                         "0", "1", "2", "1/0", "1/2", "-3/4", "0.5", "x", "#", "", "\n", "9" * 5000,
+                         "99999999999", "٣", "½", "node", "cell", "grid", "dim", "component",
+                         "differential", "pairing", "pairingdegree", "end", "gqcomplex"]),
+        st.text(max_size=3))
+    valid = _VALID_DATA[kind]
+    lexemes = re.findall(r"\s+|\S+", valid)
+    words = [i for i, lexeme in enumerate(lexemes) if not lexeme.isspace()]
+
+    def mutate(edits):
+        """Replace one word of the valid file at each edit's position by the
+        edit's piece."""
+        out = list(lexemes)
+        for at, text in edits:
+            out[words[at % len(words)]] = text
+        return "".join(out).encode()
+
+    mutated = st.builds(mutate, st.lists(st.tuples(st.integers(0, 10**4), piece),
+                                         min_size=1, max_size=3))
+    contents = st.one_of(
+        mutated, mutated,
+        st.integers(0, len(valid)).map(lambda cut: valid[:cut].encode()),
+        st.text().map(str.encode), st.binary(max_size=64))
+    work = tmp_path_factory.mktemp("fuzz")
+    data, f = work / "d.dat", work / "p.gq"
+    f.write_text(f'load {kind} B "d.dat";')
+
+    def load(content):
+        """(exit code, stderr lines) of loading `content`; no warning allowed."""
+        data.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", str(f)])
+        assert not caught, [str(w.message) for w in caught]
+        return code, err.getvalue().strip().splitlines()
+
+    assert load(valid.encode()) == (0, [])
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(contents)
+    def run(content):
+        code, lines = load(content)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        else:
+            assert lines == []
+
+    run()
+
+
 def test_report_text_shape():
     rep = run_source(MINIMAL)
     text = report_render(rep, "text").decode()
@@ -479,12 +550,27 @@ _NODES_1X1 = "".join(f"node {i} {j} 1 0 0 0\n" for i in (0, 1) for j in (0, 1))
      "needs 2 rows"),
     ("complex", "gqcomplex 1\ncomponent 0\n", "needs 2 integer"),
     ("path", "dim\n0 1\n1 1\n", "'dim' header"),
+    # a header larger than its node lines is rejected before any allocation
+    ("grid", "grid 100000 100000\n" + _NODES_1X1, "has 4 node lines"),
+    ("complex", "gqcomplex 1\ncomponent 0 1\ncomponent 1 1\ndifferential 0\n1/0\n",
+     "zero denominator in '1/0'"),
+    # an exponent would make the entry a billion-digit integer
+    ("complex", "gqcomplex 1\ncomponent 0 1\ncomponent 1 1\ndifferential 0\n1e999999999\n",
+     "not an integer or p/q: '1e999999999'"),
+    # finite values whose differences or squares overflow
+    ("path", "dim 1\n0 0\n-1e308 0\n1e308 0\n1 0\n", "times must be non-decreasing"),
+    ("grid", "grid 1 1\n" + _NODES_1X1.replace(" 1 0 0 0", " 1e308 0 0 0"),
+     "quaternion norms off unit by inf"),
 ])
 def test_cli_malformed_data_file_exits_2(tmp_path, capsys, kind, text, message):
     (tmp_path / "bad.dat").write_text(text)
     f = tmp_path / "p.gq"
     f.write_text(f'load {kind} B "bad.dat";')
-    assert cli_main(["run", str(f)]) == 2
+    # a warning would print a second stderr line outside the test
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["run", str(f)]) == 2
+    assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
 
@@ -613,6 +699,13 @@ COURANT_3 = ("sigma S deg 2 pairs { "
      "conflicting structure constants at (1, 1, 2)"),
     ("algebra G so3;\ncheck cocycle G modes 65;", "2:1",
      "cocycle: modes must be at most 64, got 65"),
+    # an entry repeated in the same order must repeat its value
+    ("algebroid A base 0 fiber 2 { c 1 1 2 = 1; c 1 1 2 = 2; }\ncheck alground A;", "1:1",
+     "conflicting structure functions at (1, 1, 2)"),
+    ("algebra G dim 2 { c 1 1 2 = 1; c 1 1 2 = 0; ip 1 1 = 1; ip 2 2 = 1; }\ncheck jacobi G;",
+     "1:1", "conflicting structure constants at (1, 1, 2)"),
+    ("algebroid A base 1 fiber 1 { rho 1 1 = x1; rho 1 1 = 2*x1; }", "1:1",
+     "conflicting anchor entries at (1, 1)"),
 ])
 def test_cli_construction_error_exits_2(tmp_path, capsys, source, where, message):
     f = tmp_path / "p.gq"
@@ -621,6 +714,15 @@ def test_cli_construction_error_exits_2(tmp_path, capsys, source, where, message
     captured = capsys.readouterr()
     assert captured.err == f"error: {f}:{where}: {message}\n"
     assert captured.out == ""
+
+
+def test_repeated_table_entry_with_its_value_binds():
+    session = analyze(dsl.parse(
+        "algebroid A base 1 fiber 2 { rho 1 1 = x1; rho 1 1 = x1; c 1 1 2 = 1; c 1 1 2 = 1; }\n"
+        "algebra G dim 2 { c 1 1 2 = 0; c 1 1 2 = 0; ip 1 1 = 1; ip 2 2 = 1; }"))
+    A = session.get("A")
+    assert list(A.rho) == [(1, 1)] and A.c == {(1, 1, 2): A.chart.const(1)}
+    assert session.get("G").brackets == {}
 
 
 def test_algebra_inner_product_last_assignment_wins():

@@ -13,7 +13,7 @@ from gq import (
     pair_decode, q_square, save_gridmap, sl2, so3, symmetry_bracket,
     twisted_q, wzw_cross_term, wzw_descent_residual, wzw_product,
 )
-from gq.extensions import quat_conj, quat_exp, quat_normalize
+from gq.grids import quat_conj, quat_exp, quat_normalize
 from conftest import given
 
 
@@ -506,7 +506,7 @@ def test_wzw_associativity_converges():
 
 def test_wzw_cross_term_ad_invariance_pointwise(nprng):
     # <Ad_q u, Ad_q w> = <u, w> for the implementation's log/inner pair
-    from gq.extensions import quat_mul, su2_inner
+    from gq.grids import quat_mul, su2_inner
 
     for _ in range(50):
         q = quat_normalize(nprng.normal(size=4))
