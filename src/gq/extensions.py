@@ -319,13 +319,13 @@ def cartan_3form(g: QuadraticLieAlgebra) -> GPoly:
     """
     chart = algebroid_chart(0, g.dim)
     xi = [chart.var(f"xi{i}") for i in range(1, g.dim + 1)]
-    terms = []
+    pairs = []
     for (j, k), vec in g.brackets.items():
         for i, row in enumerate(g.ip.rows):
             coeff = dot(row, vec)
             if coeff:
-                terms.append(coeff * xi[i] * xi[j] * xi[k])
-    return divided(chart.sum(terms), 6)
+                pairs.append((coeff * xi[i], xi[j] * xi[k]))
+    return divided(chart.sum_of_products(pairs), 6)
 
 
 def chevalley_eilenberg_q(g: QuadraticLieAlgebra) -> Derivation:

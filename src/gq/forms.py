@@ -8,6 +8,8 @@ below only touches the (x, xi) pairs.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import GradingError
 from .graded_algebra import Chart, GPoly, GVar, left_derivative
 from .nq_core import Derivation
@@ -67,8 +69,12 @@ class TangentChart:
         comps = {xn: self.chart.var(qn) for xn, qn in zip(self.x_names, self.xi_names)}
         return Derivation(self.chart, 1, comps)
 
+    @cached_property
+    def _de_rham(self) -> Derivation:
+        return self.de_rham()
+
     def d(self, p: GPoly) -> GPoly:
-        return self.de_rham()(p)
+        return self._de_rham(p)
 
     def contraction(self, v) -> Derivation:
         """Interior product with the polynomial vector field v = (v^1, ..., v^m)."""
@@ -91,12 +97,14 @@ class TangentChart:
 
     def vector_bracket(self, v, w):
         """Commutator of polynomial vector fields, componentwise."""
+        minus_w = [-c for c in w]
         out = []
         for a in range(self.m):
-            terms = []
+            pairs = []
             for b, xb in enumerate(self.x_names):
-                terms += (v[b] * left_derivative(w[a], xb), -w[b] * left_derivative(v[a], xb))
-            out.append(self.chart.sum(terms))
+                pairs += ((v[b], left_derivative(w[a], xb)),
+                          (minus_w[b], left_derivative(v[a], xb)))
+            out.append(self.chart.sum_of_products(pairs))
         return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import and_, or_, rshift
 
 from .errors import ChartMismatchError, GradingError, UnsupportedInputError
@@ -114,20 +114,21 @@ class Chart:
 
     def _pack(self, exponents):
         """The key of an exponent tuple; None when an odd exponent exceeds 1
-        (the monomial vanishes)."""
+        (the monomial vanishes). Zero exponents add nothing and are skipped."""
         exponents = tuple(exponents)
         if len(exponents) != len(self.gvars):
             raise ValueError("exponent tuple has wrong length")
         key = 0
-        for v, e, s in zip(self.gvars, exponents, self._shifts):
+        for i in compress(range(len(exponents)), exponents):
+            e = exponents[i]
             if e < 0:
                 raise ValueError("negative exponent")
-            if v.parity:
+            if self.parities[i]:
                 if e > 1:
                     return None
             elif e > MAX_EXPONENT:
-                _exponent_error(v)
-            key |= e << s
+                _exponent_error(self.gvars[i])
+            key |= e << self._shifts[i]
         return key
 
     def _unpack(self, key) -> tuple:
@@ -165,6 +166,18 @@ class Chart:
                 yield p._terms.items()
         return _collect(self, chain.from_iterable(term_lists()))
 
+    def sum_of_products(self, pairs) -> "GPoly":
+        """The sum of f * g over (f, g) pairs on this chart, collected in one
+        pass with no polynomial per product. Raises `UnsupportedInputError`
+        when any product passes the exponent bound, even one that another
+        product cancels."""
+        def term_pairs():
+            for f, g in pairs:
+                if f.chart != self or g.chart != self:
+                    raise ChartMismatchError("operands live on different charts")
+                yield f._terms.items(), g._terms.items()
+        return _sum_products(self, term_pairs())
+
 
 def _exponent_error(v: GVar):
     raise UnsupportedInputError(
@@ -198,32 +211,32 @@ def _flips(odd, oa):
     return flips
 
 
-def _products(chart: Chart, left_terms, right_terms):
-    """The (key, coefficient) pairs of the Koszul product of two term lists:
-    every left term times every right term, signed by the parity of the
-    right term's odd bits among the left term's `_flips`; pairs sharing an
-    odd factor vanish. The caller checks the guards with `_checked`."""
+def _sum_products(chart: Chart, factor_pairs) -> "GPoly":
+    """The canonical sum of the Koszul products of (left, right) term lists,
+    collected in one pass: every left term times every right term, signed by
+    the parity of the right term's odd bits among the left term's `_flips`;
+    pairs sharing an odd factor vanish. Every product key is checked against
+    the guard, including keys whose coefficients cancel."""
     odd = chart._odd
-    right = list(right_terms)
-    for ka, ca in left_terms:
-        oa = ka & odd
-        flips = _flips(odd, oa)
-        for kb, cb in right:
-            if not oa & kb:
-                c = ca * cb
-                yield ka + kb, (-c if (flips & kb).bit_count() & 1 else c)
-
-
-def _checked(p: "GPoly") -> "GPoly":
-    """p, after checking that no exponent of a product passed the bound."""
-    guard = p.chart._guard
-    if guard and reduce(or_, p._terms, 0) & guard:
-        chart = p.chart
-        key = next(k for k in p._terms if k & guard)
+    out = {}
+    for left, right in factor_pairs:
+        for ka, ca in left:
+            oa = ka & odd
+            flips = _flips(odd, oa)
+            for kb, cb in right:
+                if not oa & kb:
+                    key = ka + kb
+                    c = -ca * cb if (flips & kb).bit_count() & 1 else ca * cb
+                    if key in out:
+                        c += out[key]
+                    out[key] = c
+    guard = chart._guard
+    if guard and reduce(or_, out, 0) & guard:
+        key = next(k for k in out if k & guard)
         for v, e in zip(chart.gvars, chart._unpack(key)):
             if not v.parity and e > MAX_EXPONENT:
                 _exponent_error(v)
-    return p
+    return _make(chart, {k: c for k, c in out.items() if c})
 
 
 def _partials(chart: Chart, terms, i: int, right: bool):
@@ -369,8 +382,7 @@ class GPoly:
             c = rational(other)
             return _collect(chart, ((k, v * c) for k, v in self._terms.items()))
         self._check_chart(other)
-        return _checked(_collect(chart, _products(chart, self._terms.items(),
-                                                  other._terms.items())))
+        return _sum_products(chart, ((self._terms.items(), other._terms.items()),))
 
     def __rmul__(self, other):
         # scalars commute with everything
@@ -465,8 +477,8 @@ def darboux_bracket(chart: Chart, layout, f: GPoly, g: GPoly) -> GPoly:
     for i, (j, s) in enumerate(layout):
         if in_f & fields[i] and in_g & fields[j]:
             right = [(k, c * s) for k, c in _partials(chart, f._terms.items(), i, True)]
-            products.append(_products(chart, right, _partials(chart, g._terms.items(), j, False)))
-    return _checked(_collect(chart, chain.from_iterable(products)))
+            products.append((right, _partials(chart, g._terms.items(), j, False)))
+    return _sum_products(chart, products)
 
 
 def weight_of(p: GPoly):
@@ -506,10 +518,10 @@ def substitute(p: GPoly, v, q: GPoly) -> GPoly:
     # q replaces v at the right end of the word; moving the odd v there
     # passes the odd factors that follow it
     after = chart._odd & (unit - 1) if chart.parities[i] else 0
-    terms = []
+    products = []
     for key, c in p._terms.items():
         e = (key >> s) & mask
         if e and (key & after).bit_count() & 1:
             c = -c
-        terms.append(_make(chart, {key - e * unit: c}) * q ** e)
-    return chart.sum(terms)
+        products.append((((key - e * unit, c),), (q ** e)._terms.items()))
+    return _sum_products(chart, products)

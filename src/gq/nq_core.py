@@ -109,8 +109,8 @@ def apply_derivation(D: Derivation, p: GPoly) -> GPoly:
     """
     if p.chart != D.chart:
         raise ChartMismatchError("polynomial lives on a different chart")
-    return D.chart.sum(coeff * left_derivative(p, name)
-                       for name, coeff in D.components.items() if not coeff.is_zero())
+    return D.chart.sum_of_products((coeff, left_derivative(p, name))
+                                   for name, coeff in D.components.items() if not coeff.is_zero())
 
 
 def commutator(D1: Derivation, D2: Derivation) -> Derivation:

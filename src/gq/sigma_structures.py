@@ -174,7 +174,7 @@ def q_to_hamiltonian(dchart: DarbouxChart, Q: Derivation) -> GPoly:
     if Q.degree != 1:
         raise GradingError("q_to_hamiltonian expects a degree-1 field")
     n = dchart.n
-    terms = []
+    pairs = []
     for pr in dchart.pairs:
         q, p = dchart.var(pr.q_name), dchart.var(pr.p_name)
         qw, pw = pr.q_weight, pr.p_weight
@@ -183,9 +183,9 @@ def q_to_hamiltonian(dchart: DarbouxChart, Q: Derivation) -> GPoly:
         sp = -1 if (pw % 2) * (n % 2) else 1
         spar = -1 if (qw % 2) * (pw % 2) else 1
         inv = rational(Fraction(1) / pr.sign)
-        terms.append(q * Q.component(pr.p_name) * (sq * qw * inv))
-        terms.append(p * Q.component(pr.q_name) * -(sp * spar * pw * inv))
-    theta = divided(dchart.chart.sum(terms), n + 1)
+        pairs += ((q * (sq * qw * inv), Q.component(pr.p_name)),
+                  (p * -(sp * spar * pw * inv), Q.component(pr.q_name)))
+    theta = divided(dchart.chart.sum_of_products(pairs), n + 1)
     candidate = theta.weight_component(n + 1)
     if candidate != theta:
         raise StructureError("Q is not symplectic: reconstructed Hamiltonian is inhomogeneous")
@@ -248,8 +248,8 @@ def poisson_theta(dchart: DarbouxChart, pi) -> GPoly:
     upper = skew_table(pi, len(dchart.pairs),
                        lambda v: v if isinstance(v, GPoly) else chart.const(v), "bivector entries")
     # the (a,b) and (b,a) orders of the 1/2 pi^{ab} p_a p_b sum coincide
-    return chart.sum(-coeff * chart.var(f"p{a}") * chart.var(f"p{b}")
-                     for (a, b), coeff in upper.items())
+    return chart.sum_of_products((-coeff * chart.var(f"p{a}"), chart.var(f"p{b}"))
+                                 for (a, b), coeff in upper.items())
 
 
 def courant_theta(dchart: DarbouxChart, eta: GPoly | None = None) -> GPoly:
@@ -261,15 +261,16 @@ def courant_theta(dchart: DarbouxChart, eta: GPoly | None = None) -> GPoly:
     if dchart.n != 2:
         raise GradingError("courant_theta lives on a degree-2 chart")
     m = len(dchart.pairs) // 2
-    terms = [dchart.var(f"theta{a}") * dchart.var(f"p{a}") for a in range(1, m + 1)]
+    theta = dchart.chart.sum_of_products((dchart.var(f"theta{a}"), dchart.var(f"p{a}"))
+                                         for a in range(1, m + 1))
     if eta is not None:
         if not eta.is_homogeneous(3):
             raise GradingError("twisting form must be homogeneous of weight 3")
         banned = [f"p{a}" for a in range(1, m + 1)] + [f"chi{a}" for a in range(1, m + 1)]
         if eta.at_zero(banned) != eta:
             raise GradingError("twisting form may only involve x and theta")
-        terms.append(eta)
-    return dchart.chart.sum(terms)
+        theta = theta + eta
+    return theta
 
 
 def _odd_pairs(dchart: DarbouxChart):
@@ -285,10 +286,10 @@ def section_encode(dchart: DarbouxChart, X, xi) -> GPoly:
     def as_poly(c):
         return c if isinstance(c, GPoly) else chart.const(c)
 
-    terms = []
+    pairs = []
     for a, pr in enumerate(_odd_pairs(dchart)):
-        terms += (as_poly(X[a]) * chart.var(pr.p_name), as_poly(xi[a]) * chart.var(pr.q_name))
-    return chart.sum(terms)
+        pairs += ((as_poly(X[a]), chart.var(pr.p_name)), (as_poly(xi[a]), chart.var(pr.q_name)))
+    return chart.sum_of_products(pairs)
 
 
 def section_decode(dchart: DarbouxChart, e: GPoly):
@@ -351,12 +352,12 @@ def algebroid_to_q(A: AlgebroidData) -> Derivation:
     chart = A.chart
     comps = {}
     for a in range(1, A.base_dim + 1):
-        comps[f"x{a}"] = chart.sum(chart.var(f"xi{i}") * A.anchor(a, i)
-                                   for i in range(1, A.fiber_dim + 1))
+        comps[f"x{a}"] = chart.sum_of_products((chart.var(f"xi{i}"), A.anchor(a, i))
+                                               for i in range(1, A.fiber_dim + 1))
     for k in range(1, A.fiber_dim + 1):
         # sum over ordered pairs i < j absorbs the 1/2
-        comps[f"xi{k}"] = chart.sum(-coeff * chart.var(f"xi{i}") * chart.var(f"xi{j}")
-                                    for (kk, i, j), coeff in A.c.items() if kk == k)
+        comps[f"xi{k}"] = chart.sum_of_products((-coeff * chart.var(f"xi{i}"), chart.var(f"xi{j}"))
+                                                for (kk, i, j), coeff in A.c.items() if kk == k)
     return Derivation(chart, 1, comps)
 
 

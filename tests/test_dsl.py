@@ -274,14 +274,21 @@ _VALID_DATA = {
 }
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 @pytest.mark.parametrize("kind", sorted(_VALID_DATA))
 def test_data_file_fuzz(tmp_path_factory, kind):
-    """Mutated (non-finite values included), truncated and arbitrary data
-    files through `load`: exit 0, 1 or 2, and on 2 exactly one `error:` line."""
+    """Mutated (non-finite and finite huge values included), truncated and
+    arbitrary data files through `load`: exit 0, 1 or 2, and on 2 exactly
+    one `error:` line. A path also runs the float checks, so huge samples
+    reach the integrator, and its report must be strict JSON."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     piece = st.one_of(
-        st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e999", "1e999999999", "-1",
+        st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "1e200", "-1e200", "1e154",
+                         "1e999", "1e999999999", "-1",
                          "0", "1", "2", "1/0", "1/2", "-3/4", "0.5", "x", "#", "", "\n", "9" * 5000,
                          "99999999999", "٣", "½", "node", "cell", "grid", "dim", "component",
                          "differential", "pairing", "pairingdegree", "end", "gqcomplex"]),
@@ -305,18 +312,22 @@ def test_data_file_fuzz(tmp_path_factory, kind):
         st.integers(0, len(valid)).map(lambda cut: valid[:cut].encode()),
         st.text().map(str.encode), st.binary(max_size=64))
     work = tmp_path_factory.mktemp("fuzz")
-    data, f = work / "d.dat", work / "p.gq"
-    f.write_text(f'load {kind} B "d.dat";')
+    data, f, report = work / "d.dat", work / "p.gq", work / "r.json"
+    checks = " check holonomy B B; check reparam B;" if kind == "path" else ""
+    f.write_text(f'load {kind} B "d.dat";{checks}')
 
     def load(content):
         """(exit code, stderr lines) of loading `content`; no warning allowed."""
         data.write_bytes(content)
+        report.unlink(missing_ok=True)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = cli_main(["run", str(f)])
+            code = cli_main(["run", str(f), "--steps", "100", "--report", str(report)])
         assert not caught, [str(w.message) for w in caught]
+        if code != 2:
+            json.loads(report.read_text(), parse_constant=_reject_constant)
         return code, err.getvalue().strip().splitlines()
 
     assert load(valid.encode()) == (0, [])
@@ -455,6 +466,34 @@ def test_non_finite_load_is_semantic_error(tmp_path, kind, text):
         execute(dsl.parse(f'load {kind} B "bad.dat";'), Options(base_dir=tmp_path))
 
 
+def _rand_base_reference(rng, chart, xnames, top):
+    """`session._rand_base` as it drew before `Chart._pack` skipped zero
+    exponents, building the monomial as a product of variables."""
+    key = [0] * len(chart.gvars)
+    for nm in xnames:
+        key[chart.index(nm)] = rng.randint(0, top)
+    c = Fraction(rng.randint(-2, 2))
+    out = chart.const(c)
+    for v, e in zip(chart.gvars, key):
+        out = out * chart.var(v.name) ** e
+    return out
+
+
+def test_random_sections_keep_their_draws():
+    """For a given seed `_rand_base` draws the same numbers in the same order
+    and builds the same monomials as before."""
+    from gq import courant_chart
+
+    chart = courant_chart(5).chart
+    xnames = [f"x{a}" for a in range(1, 6)]
+    for seed in (0, 1, 7):
+        got, want = random.Random(seed), random.Random(seed)
+        for top in (1, 2, 2, 1) * 25:
+            assert (session_module._rand_base(got, chart, xnames, top)
+                    == _rand_base_reference(want, chart, xnames, top))
+        assert got.getstate() == want.getstate()
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -573,6 +612,24 @@ def test_cli_malformed_data_file_exits_2(tmp_path, capsys, kind, text, message):
     assert not caught, [str(w.message) for w in caught]
     err = capsys.readouterr().err
     assert message in err and len(err.strip().splitlines()) == 1
+
+
+def test_cli_non_finite_residual_fails_with_null(tmp_path, capsys):
+    """Finite samples whose holonomy overflows: each float check fails with
+    no residual and a witness naming the non-finite one, the report is
+    strict JSON, and nothing reaches stderr."""
+    (tmp_path / "huge.apath").write_text("dim 1\n0 1e200\n1 1e200\n")
+    f, report = tmp_path / "p.gq", tmp_path / "r.json"
+    f.write_text('load path P "huge.apath";\ncheck exp P;\ncheck holonomy P P;\n')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["run", str(f), "--steps", "10", "--report", str(report)])
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1 and capsys.readouterr().err == ""
+    checks = json.loads(report.read_text(), parse_constant=_reject_constant)["checks"]
+    assert [(c["name"], c["verdict"], c["residual"], c["witness"]) for c in checks] == [
+        ("exp", "fail", None, "non-finite residual nan"),
+        ("holonomy", "fail", None, "non-finite residual nan")]
 
 
 def test_cli_negative_nmap_dimension_exits_2(tmp_path, capsys):

@@ -248,9 +248,11 @@ def _summed(pairs):
     return out
 
 
-def _past_bound(terms):
-    """Whether a nonzero term of a tuple-key dict has an exponent past the bound."""
-    return any(e > MAX_EXPONENT for key, c in terms.items() if c for e in key)
+def _past_bound(pairs):
+    """Whether an exponent of a product key among the (exponent tuple,
+    coefficient) pairs passes the bound; a product another one cancels
+    counts too."""
+    return any(e > MAX_EXPONENT for key, _ in pairs for e in key)
 
 
 def _derivative_reference(p, v, right):
@@ -263,7 +265,8 @@ def _derivative_reference(p, v, right):
 def _bracket_reference(dchart, f, g):
     """The Darboux bracket as two sweeps over exponent tuples: left[i] holds
     dL_conj(i) g, each right derivative dR_i f is scaled by s_i and
-    multiplied by left[i]; as a {exponent tuple: coefficient} dict."""
+    multiplied by left[i]; as the list of (exponent tuple, coefficient)
+    products, before they are summed."""
     chart, layout = dchart.chart, dchart.layout
     left = {}
     for key, c in g.terms.items():
@@ -273,7 +276,7 @@ def _bracket_reference(dchart, f, g):
     for key, c in f.terms.items():
         for i, k, e in _partials_reference(chart, key, True, left):
             pairs += _products_reference(chart, [(k, c * e * layout[i][1])], left[i])
-    return _summed(pairs)
+    return pairs
 
 
 def _substitute_reference(p, v, q):
@@ -512,12 +515,12 @@ def test_signs_are_int_parities():
 @given(_polys(2, kinds=True))
 def test_product_matches_tuple_oracle(case):
     chart, _, (p, q) = case
-    want = _summed(_products_reference(chart, p.terms.items(), q.terms.items()))
-    if _past_bound(want):
+    products = list(_products_reference(chart, p.terms.items(), q.terms.items()))
+    if _past_bound(products):
         with pytest.raises(UnsupportedInputError):
             p * q
     else:
-        assert p * q == GPoly(chart, want)
+        assert p * q == GPoly(chart, _summed(products))
 
 
 @given(_polys(1, kinds=True))
@@ -549,12 +552,69 @@ def _darboux_pair(st):
 @given(_darboux_pair)
 def test_bracket_matches_tuple_oracle(case):
     dchart, f, g = case
-    want = _bracket_reference(dchart, f, g)
-    if _past_bound(want):
+    products = _bracket_reference(dchart, f, g)
+    if _past_bound(products):
         with pytest.raises(UnsupportedInputError):
             poisson_bracket(dchart, f, g)
     else:
-        assert poisson_bracket(dchart, f, g) == GPoly(dchart.chart, want)
+        assert poisson_bracket(dchart, f, g) == GPoly(dchart.chart, _summed(products))
+
+
+@given(_polys(3, kinds=True),
+       lambda st: st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.booleans()),
+                           max_size=6))
+def test_sum_of_products_matches_summed_products(case, picks):
+    """Chart.sum_of_products(pairs) == Chart.sum(f * g for f, g in pairs),
+    or both raise: empty pairs, zero factors (index 3) and a product
+    followed by its negative included."""
+    chart, _, polys = case
+    factors = polys + [chart.zero()]
+    pairs = [(-factors[i] if neg else factors[i], factors[j]) for i, j, neg in picks]
+    pairs += [(-f, g) for f, g in pairs[:1]]
+    try:
+        want = chart.sum(f * g for f, g in pairs)
+    except UnsupportedInputError:
+        with pytest.raises(UnsupportedInputError):
+            chart.sum_of_products(iter(pairs))
+    else:
+        assert chart.sum_of_products(iter(pairs)) == want
+
+
+def test_sum_of_products_edge_cases(chart):
+    x, xi1, xi2 = chart.var("x"), chart.var("xi1"), chart.var("xi2")
+    assert chart.sum_of_products([]) == chart.zero()
+    assert chart.sum_of_products([(x, chart.zero()), (chart.zero(), xi1)]).is_zero()
+    assert chart.sum_of_products([(xi1, xi2), (xi2, xi1)]).terms == {}
+    assert chart.sum_of_products([(x, xi1), (xi1, xi2), (x + xi2, x)]) == \
+        x * xi1 + xi1 * xi2 + x * x + xi2 * x
+    other = Chart.build(("x", 0)).var("x")
+    for pairs in ([(x, other)], [(other, x)], [(x, x), (other, other)]):
+        with pytest.raises(ChartMismatchError):
+            chart.sum_of_products(pairs)
+
+
+def test_cancelled_products_past_the_bound_raise(chart):
+    """Every product key is checked against the bound, also one that another
+    product cancels: as `Chart.sum(f * g for …)` checks each product."""
+    x, y, xi1, xi2 = (chart.var(n) for n in ("x", "y", "xi1", "xi2"))
+    big = x ** MAX_EXPONENT
+    past = "exponent of 'x' exceeds"
+    for pairs in ([(big, x), (-big, x)], [(big * y, x), (x, -big * y)]):
+        with pytest.raises(UnsupportedInputError, match=past):
+            chart.sum(f * g for f, g in pairs)
+        with pytest.raises(UnsupportedInputError, match=past):
+            chart.sum_of_products(pairs)
+    assert chart.sum_of_products([(big, y), (-big, y)]).is_zero()
+    # within one product: (xi1 + xi2)^2 = 0, but x^M xi1 * x xi2 passes the bound
+    with pytest.raises(UnsupportedInputError, match=past):
+        (big * (xi1 + xi2)) * (x * (xi1 + xi2))
+    assert ((x * x) * (xi1 + xi2)) * (x * (xi1 + xi2)) == chart.zero()
+    # the bracket of (q + p) with itself cancels between its two products
+    dchart = DarbouxChart(0, [("q", 0, "p", 0, 1), ("z", 0, "w", 0, 1)])
+    q, pp, z = (dchart.chart.var(n) for n in ("q", "p", "z"))
+    assert poisson_bracket(dchart, z * z * (q + pp), z * (q + pp)).is_zero()
+    with pytest.raises(UnsupportedInputError, match="exponent of 'z' exceeds"):
+        poisson_bracket(dchart, z ** MAX_EXPONENT * (q + pp), z * (q + pp))
 
 
 def test_exponent_bound(chart):
