@@ -18,12 +18,10 @@ from .errors import (
     UnsupportedInputError,
 )
 from .graded_algebra import (
-    Chart, GPoly, GVar, left_derivative, multiply, rescale, scaling_check,
-    substitute, weight_of,
+    Chart, GPoly, GVar, left_derivative, rescale, scaling_check, substitute,
 )
 from .nq_core import (
-    Derivation, apply_derivation, commutator, euler_field, is_nq,
-    manifold_degree, q_square,
+    Derivation, apply_derivation, commutator, euler_field, q_square,
 )
 from .sigma_structures import (
     AlgebroidData, ConjugatePair, DarbouxChart, Hamiltonian, algebroid_to_q,

@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     if args.command == "checks":
         width = max(len(n) for n in CHECKS)
         form_width = max(len(entry[1]) for entry in CHECKS.values())
-        for name, (_, form, _, description) in sorted(CHECKS.items()):
+        for name, (_, form, description) in sorted(CHECKS.items()):
             print(f"{name:<{width}}  {form:<{form_width}}  {description}")
         return 0
 

@@ -454,11 +454,10 @@ class SuspensionReport:
         return "pass" if self.shifted_matches else "fail"
 
 
-def suspension_check(C0: GradedComplex, n: int, model: GradedComplex | None = None) -> SuspensionReport:
+def suspension_check(C0: GradedComplex, n: int) -> SuspensionReport:
     """Tensor C0 with relative cochains of an n-ball lattice model and verify
     H^k(tensor) = H^{k-n}(C0) degree by degree."""
-    if model is None:
-        model = ball_relative_complex(n)
+    model = ball_relative_complex(n)
     rel_betti = {k: d for k, d in model.betti().items() if d}
     tensored = tensor_complex(C0, model)
     base_betti = {k: d for k, d in C0.betti().items() if d}

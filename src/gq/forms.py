@@ -21,10 +21,10 @@ class TangentChart:
     extra: iterable of (name, weight) appended after the (x, xi) block.
     """
 
-    def __init__(self, m: int, extra=(), x="x", xi="xi"):
+    def __init__(self, m: int, extra=()):
         self.m = m
-        self.x_names = tuple(f"{x}{a}" for a in range(1, m + 1))
-        self.xi_names = tuple(f"{xi}{a}" for a in range(1, m + 1))
+        self.x_names = tuple(f"x{a}" for a in range(1, m + 1))
+        self.xi_names = tuple(f"xi{a}" for a in range(1, m + 1))
         gvars = [GVar(n, 0) for n in self.x_names] + [GVar(n, 1) for n in self.xi_names]
         gvars += [GVar(n, w) for n, w in extra]
         self.chart = Chart(gvars)
@@ -77,23 +77,20 @@ class TangentChart:
         return self._de_rham(p)
 
     def contraction(self, v) -> Derivation:
-        """Interior product with the polynomial vector field v = (v^1, ..., v^m)."""
+        """Interior product with the polynomial vector field v = (v^1, ..., v^m);
+        a component of nonzero weight is a GradingError."""
         v = list(v)
         if len(v) != self.m:
             raise ValueError("vector field needs one component per base coordinate")
-        comps = {}
-        for a, comp in enumerate(v, start=1):
-            if not comp.is_homogeneous(0):
-                raise GradingError("vector field components must be weight-0 polynomials")
-            comps[self.xi_names[a - 1]] = comp
-        return Derivation(self.chart, -1, comps)
+        return Derivation(self.chart, -1, dict(zip(self.xi_names, v)))
 
     def iota(self, v, p: GPoly) -> GPoly:
         return self.contraction(v)(p)
 
     def lie(self, v, p: GPoly) -> GPoly:
         """Lie derivative along v via the Cartan formula d iota + iota d."""
-        return self.d(self.iota(v, p)) + self.iota(v, self.d(p))
+        iota = self.contraction(v)
+        return self.d(iota(p)) + iota(self.d(p))
 
     def vector_bracket(self, v, w):
         """Commutator of polynomial vector fields, componentwise."""

@@ -441,11 +441,6 @@ class GPoly:
         return f"GPoly({self})"
 
 
-def multiply(p: GPoly, q: GPoly) -> GPoly:
-    """Supercommutative product with Koszul signs; canonical output."""
-    return p * q
-
-
 def left_derivative(p: GPoly, v) -> GPoly:
     """Left graded derivative by a chart variable.
 
@@ -479,11 +474,6 @@ def darboux_bracket(chart: Chart, layout, f: GPoly, g: GPoly) -> GPoly:
             right = [(k, c * s) for k, c in _partials(chart, f._terms.items(), i, True)]
             products.append((right, _partials(chart, g._terms.items(), j, False)))
     return _sum_products(chart, products)
-
-
-def weight_of(p: GPoly):
-    """Weight of a homogeneous polynomial, or None for an inhomogeneous one."""
-    return p.weight()
 
 
 def rescale(p: GPoly, lam) -> GPoly:

@@ -14,8 +14,7 @@ from .graded_algebra import Chart, GPoly, GVar, left_derivative
 
 __all__ = [
     "Chart", "GVar", "Derivation",
-    "apply_derivation", "commutator", "q_square", "manifold_degree",
-    "euler_field",
+    "apply_derivation", "commutator", "q_square", "euler_field",
 ]
 
 
@@ -133,15 +132,6 @@ def q_square(Q: Derivation) -> Derivation:
     chart = Q.chart
     comps = {v.name: Q(Q(chart.var(v.name))) for v in chart.gvars}
     return Derivation(chart, 2, comps, check=False)
-
-
-def is_nq(Q: Derivation) -> bool:
-    return q_square(Q).is_zero()
-
-
-def manifold_degree(chart: Chart) -> int:
-    """Highest coordinate weight; a degree-0 chart is an ordinary manifold chart."""
-    return chart.degree()
 
 
 def euler_field(chart: Chart) -> Derivation:

@@ -1,11 +1,11 @@
 """Execution of DSL programs: bindings, named checks, and reports.
 
 A session binds names to constructed objects in statement order (the
-semantic pass), binds each check's arguments against its form in the
-dispatch table, then runs the checks. Structural failures inside a check
-become failed records, not crashes; unknown names, weight/arity mistakes
-and malformed check arguments are semantic errors raised before anything
-runs.
+semantic pass), then binds each check's arguments against its form in the
+dispatch table `CHECKS`, once, at analysis; execution runs the bound
+checks. Structural failures inside a check become failed records, not
+crashes; unknown names, weight/arity mistakes and malformed check
+arguments are semantic errors raised before anything runs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import GqError, SemanticError, UnsupportedInputError
 from .forms import TangentChart, dorfman_bracket
 from .graded_algebra import Chart, GVar, left_derivative, scaling_check
 from .linalg import Matrix, rational
-from .nq_core import Derivation, commutator, euler_field, manifold_degree, q_square
+from .nq_core import Derivation, commutator, euler_field, q_square
 
 
 @dataclass
@@ -161,6 +161,7 @@ class Session:
         self.options = options or Options()
         self.bindings = {}       # name -> (kind, value)
         self.tangents = {}       # name -> TangentChart (for charts carrying one)
+        self.checks = []         # (statement, handler, values, options), bound by analyze
         self.rng = random.Random(self.options.seed)
 
     def bind(self, name, kind, value, pos):
@@ -197,9 +198,7 @@ class Session:
         for n, w in st.coords:
             if w < 0:
                 raise SemanticError(f"negative weight for {n!r}", *st.pos)
-        chart = Chart(GVar(n, w) for n, w in st.coords)
-        manifold_degree(chart)
-        self.bind(st.name, "chart", chart, st.pos)
+        self.bind(st.name, "chart", Chart(GVar(n, w) for n, w in st.coords), st.pos)
 
     def _do_QFieldStmt(self, st):
         target_kind = self.kind_of(st.chart)
@@ -324,18 +323,16 @@ class Session:
         dchart = self.get(st.target, "sigma", pos=st.pos)
         self.bind(st.name, "nmap", cx.nmap_space(dchart, st.dim), st.pos)
 
-    def _do_CheckStmt(self, st):
-        pass  # checks are bound by analyze() and run by execute()
-
 
 def analyze(program: dsl.Program, options: Options | None = None) -> Session:
-    """The semantic pass: build every binding, bind every check's arguments."""
+    """The semantic pass: build every binding, then bind every check's
+    arguments, in statement order, into `session.checks`."""
     session = Session(options)
+    checks = [st for st in program.statements if isinstance(st, dsl.CheckStmt)]
     for st in program.statements:
-        session.run_statement(st)
-    for st in program.statements:
-        if isinstance(st, dsl.CheckStmt):
-            _check_args(session, st)
+        if not isinstance(st, dsl.CheckStmt):
+            session.run_statement(st)
+    session.checks = [(st, *_check_args(session, st)) for st in checks]
     return session
 
 
@@ -350,12 +347,12 @@ def _check_args(session: Session, st: dsl.CheckStmt):
     `kind|kind` is one bound name of those kinds, `N` an integer >= 1,
     `word N` an integer >= 1 after a marker word, `word N...` and
     `word NAME...` one or more remaining tokens as integers >= 0 or as raw
-    names; a bracketed item is optional. Returns the handler's positional
+    names; a bracketed item is optional. Returns the handler, its positional
     values (bound objects, integers) and its options keyed by marker word.
     """
     if st.check not in CHECKS:
         raise SemanticError(f"unknown check {st.check!r}", *st.pos)
-    form = CHECKS[st.check][1]
+    handler, form, _ = CHECKS[st.check]
 
     def fail(msg):
         usage = f"{st.check} {form}".rstrip()
@@ -394,25 +391,19 @@ def _check_args(session: Session, st: dsl.CheckStmt):
             args = []
     if args:
         fail(f"unexpected argument {args[0]!r}")
-    return values, marked
+    return handler, values, marked
 
 
-def execute(program: dsl.Program, options: Options | None = None,
-            session: Session | None = None) -> Report:
-    """Run bindings, then every check in order on its bound arguments.
-    Malformed check arguments and bindings of the wrong kind are semantic
-    errors raised by `analyze` before any check runs; a semantic error
-    raised inside a check is raised too, and any other exception in a check
-    becomes that check's `fail` record."""
+def execute(program: dsl.Program, options: Options | None = None) -> Report:
+    """Analyze the program, then run every check in order on the arguments
+    `analyze` bound. Malformed check arguments and bindings of the wrong
+    kind are semantic errors raised there, before any check runs; a
+    semantic error raised inside a check is raised too, and any other
+    exception in a check becomes that check's `fail` record."""
     options = options or Options()
-    if session is None:
-        session = analyze(program, options)
+    session = analyze(program, options)
     records = []
-    for st in program.statements:
-        if not isinstance(st, dsl.CheckStmt):
-            continue
-        handler = CHECKS[st.check][0]
-        values, kwargs = _check_args(session, st)
+    for st, handler, values, kwargs in session.checks:
         t0 = time.perf_counter()
         try:
             verdict, residual, witness = handler(session, st, *values, **kwargs)
@@ -897,73 +888,50 @@ def check_gauge(session, st, tw, form):
                witness_pass=f"eta' = {shifted.eta}")
 
 
-# name -> (handler, argument form, operations exercised, description); the
-# form is the grammar `_check_args` binds the check's arguments against
+# name -> (handler, argument form, description), the one record of each
+# check; `_check_args` binds a check's arguments against its form
 CHECKS = {
-    "q2": (check_q2, "qfield|algebroid|twist|ham",
-           ["q_square", "apply", "algebroid_to_q", "twisted_q"],
-           "Q^2 = 0 for a Q-field, algebroid, or twist"),
-    "master": (check_master, "ham", ["master_equation", "poisson_bracket"],
-               "{Theta, Theta} = 0"),
-    "jacobi": (check_jacobi, "algebra", ["central_extension"],
-               "graded Jacobi + Q derivation on the central extension"),
-    "cartan": (check_cartan, "algebra", ["cartan_3form"],
-               "Cartan 3-form is Chevalley-Eilenberg closed"),
-    "dirac": (check_dirac, "ham constraints NAME...", ["lambda_check", "hamiltonian_to_q"],
+    "q2": (check_q2, "qfield|algebroid|twist|ham", "Q^2 = 0 for a Q-field, algebroid, or twist"),
+    "master": (check_master, "ham", "{Theta, Theta} = 0"),
+    "jacobi": (check_jacobi, "algebra", "graded Jacobi + Q derivation on the central extension"),
+    "cartan": (check_cartan, "algebra", "Cartan 3-form is Chevalley-Eilenberg closed"),
+    "dirac": (check_dirac, "ham constraints NAME...",
               "constraint locus is a Lagrangian Q-invariant submanifold"),
-    "lemma1": (check_lemma1, "complex deg N", ["suspension_check"],
-               "relative ball tensor shifts cohomology by n"),
-    "lemma3": (check_lemma3, "complex", ["lemma3_orthogonality", "cohomology"],
+    "lemma1": (check_lemma1, "complex deg N", "relative ball tensor shifts cohomology by n"),
+    "lemma3": (check_lemma3, "complex",
                "cocycles vs orthogonal complement of relative coboundaries"),
-    "stokes": (check_stokes, "complex", ["lattice_model"],
+    "stokes": (check_stokes, "complex",
                "boundary pairing of restrictions equals the d-pairing combination"),
     "boundary-lagrangian": (check_boundary_lagrangian, "complex",
-                            ["boundary_lagrangian", "cohomology_pairing"],
                             "image of H(total) in H(boundary) is Lagrangian"),
-    "cocycle": (check_cocycle, "algebra [modes N]", ["affine_cocycle_check"],
+    "cocycle": (check_cocycle, "algebra [modes N]",
                 "loop-algebra 2-cocycle identity at mode cutoff"),
-    "holonomy": (check_holonomy, "path path", ["integrate", "concatenate"],
+    "holonomy": (check_holonomy, "path path",
                  "holonomy of a concatenation is the product of holonomies"),
-    "reparam": (check_reparam, "path", ["reparametrize_check"],
-                "holonomy is reparametrization invariant"),
-    "exp": (check_exp, "path", ["integrate"],
-            "constant-path holonomy matches the matrix exponential"),
-    "action": (check_action, "path", ["action_integrate"],
-               "base transport matches group transport"),
-    "euler": (check_euler, "qfield|algebroid|twist|ham",
-              ["euler_field", "commutator", "manifold_degree"],
-              "[E, D] = deg(D) D"),
+    "reparam": (check_reparam, "path", "holonomy is reparametrization invariant"),
+    "exp": (check_exp, "path", "constant-path holonomy matches the matrix exponential"),
+    "action": (check_action, "path", "base transport matches group transport"),
+    "euler": (check_euler, "qfield|algebroid|twist|ham", "[E, D] = deg(D) D"),
     "scaling": (check_scaling, "ham|twist|form [N]",
-                ["scaling_check", "weight_of", "multiply", "left_derivative"],
                 "f(lambda . x) = lambda^deg f(x) on homogeneous components"),
-    "hamround": (check_hamround, "ham", ["q_to_hamiltonian", "hamiltonian_to_q"],
-                 "Hamiltonian <-> Q round trip"),
-    "alground": (check_alground, "algebroid", ["q_to_algebroid", "algebroid_to_q"],
-                 "algebroid <-> Q round trip"),
-    "poisson": (check_poisson, "ham", ["derived_bracket", "master_equation"],
+    "hamround": (check_hamround, "ham", "Hamiltonian <-> Q round trip"),
+    "alground": (check_alground, "algebroid", "algebroid <-> Q round trip"),
+    "poisson": (check_poisson, "ham",
                 "derived bracket reproduces the bivector; master = Schouten oracle"),
-    "dorfman": (check_dorfman, "ham [samples N]", ["derived_bracket"],
+    "dorfman": (check_dorfman, "ham [samples N]",
                 "derived bracket equals the Dorfman bracket on sections"),
-    "pairing": (check_pairing, "sigma", ["poisson_bracket"],
-                "section bracket is the tangent-plus-cotangent pairing"),
-    "iota": (check_iota, "pair", ["iota_encode"],
-             "[iota, iota] = 0 iff the contraction vanishes"),
+    "pairing": (check_pairing, "sigma", "section bracket is the tangent-plus-cotangent pairing"),
+    "iota": (check_iota, "pair", "[iota, iota] = 0 iff the contraction vanishes"),
     "pairbracket": (check_pairbracket, "pair pair",
-                    ["symmetry_bracket", "iota_encode", "commutator"],
                     "symmetry bracket matches [[Q, iota1], iota2]"),
-    "leibniz": (check_leibniz, "pair pair pair", ["symmetry_bracket"],
-                "left Leibniz identity for symmetry pairs"),
-    "skewwitness": (check_skewwitness, "pair pair", ["symmetry_bracket"],
-                    "records a non-skew witness pair"),
-    "degbound": (check_degbound, "", ["manifold_degree"],
-                 "Darboux charts reject weights outside [0, n]"),
+    "leibniz": (check_leibniz, "pair pair pair", "left Leibniz identity for symmetry pairs"),
+    "skewwitness": (check_skewwitness, "pair pair", "records a non-skew witness pair"),
+    "degbound": (check_degbound, "", "Darboux charts reject weights outside [0, n]"),
     "moduli": (check_moduli, "complex [dims N...]",
-               ["cohomology_pairing", "lattice_model", "cohomology"],
                "cohomology dimensions and induced pairing of a lattice model"),
-    "nmap": (check_nmap, "nmap", ["nmap_space"],
+    "nmap": (check_nmap, "nmap",
              "component dimensions are binomial and the pairing is symplectic"),
-    "wzw": (check_wzw, "grid grid", ["wzw_product"],
+    "wzw": (check_wzw, "grid grid",
             "grid product: unit and inverse laws for the corrected 2-form"),
-    "gauge": (check_gauge, "twist form", ["gauge_change", "twisted_q"],
-              "gauge change shifts eta by d alpha and conjugates Q"),
+    "gauge": (check_gauge, "twist form", "gauge change shifts eta by d alpha and conjugates Q"),
 }

@@ -136,17 +136,16 @@ class Hamiltonian:
         return str(self.theta)
 
 
-def hamiltonian_vector_field(dchart: DarbouxChart, h: GPoly, degree=None) -> Derivation:
+def hamiltonian_vector_field(dchart: DarbouxChart, h: GPoly) -> Derivation:
     """The derivation {h, .}; degree = weight(h) - n.
 
-    For the zero function every degree is valid; `degree` picks one
-    (default 1, the Q-structure case).
+    For the zero function every degree is valid; it gets 1, the
+    Q-structure case.
     """
     w = h.weight()
     if w is None:
         raise GradingError("Hamiltonian vector field needs a homogeneous function")
-    if degree is None:
-        degree = 1 if h.is_zero() else w - dchart.n
+    degree = 1 if h.is_zero() else w - dchart.n
     comps = {v.name: poisson_bracket(dchart, h, dchart.var(v.name))
              for v in dchart.chart.gvars}
     return Derivation(dchart.chart, degree, comps, check=False)

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,12 @@ import pytest
 from scipy.linalg import expm
 
 from gq import APath, GradedComplex, dsl, left_derivative, save_apath
+from gq import apath, grids
+from gq import complexes as cx
+from gq import extensions as ext
+from gq import graded_algebra as ga
+from gq import nq_core as nq
+from gq import sigma_structures as sig
 from gq import session as session_module
 from gq.cli import main as cli_main
 from gq.errors import ParseError, SemanticError
@@ -871,34 +878,6 @@ def test_cli_checks_listing(capsys):
 
 # -- dispatch coverage ----------------------------------------------------------
 
-CANONICAL_OPS = {
-    # graded_algebra
-    "multiply", "left_derivative", "weight_of", "scaling_check",
-    # nq_core
-    "apply", "commutator", "q_square", "manifold_degree", "euler_field",
-    # sigma_structures
-    "poisson_bracket", "hamiltonian_to_q", "q_to_hamiltonian",
-    "master_equation", "algebroid_to_q", "q_to_algebroid", "derived_bracket",
-    "lambda_check",
-    # extensions
-    "twisted_q", "gauge_change", "cartan_3form", "central_extension",
-    "wzw_product", "affine_cocycle_check", "iota_encode", "symmetry_bracket",
-    # apath
-    "integrate", "concatenate", "reparametrize_check", "action_integrate",
-    # complexes
-    "cohomology", "cohomology_pairing", "lemma3_orthogonality",
-    "boundary_lagrangian", "suspension_check", "lattice_model", "nmap_space",
-}
-
-
-def test_every_operation_reachable_from_dispatch_table():
-    covered = set()
-    for _, _, ops, _ in CHECKS.values():
-        covered |= set(ops)
-    missing = CANONICAL_OPS - covered
-    assert not missing, f"operations with no DSL route: {missing}"
-
-
 def test_core_check_names_exist():
     for name in ("q2", "master", "jacobi", "dirac", "lemma1", "lemma3",
                  "stokes", "boundary-lagrangian", "cocycle", "holonomy", "reparam"):
@@ -912,9 +891,6 @@ def test_suite_exercises_every_check():
         for st in prog.statements:
             if isinstance(st, dsl.CheckStmt):
                 used.add(st.check)
-    # every check in the dispatch table appears in the shipped suite,
-    # except the purely auxiliary ones listed here
-    optional = {"exp", "action"}  # exercised too; keep assertion strict anyway
     missing = set(CHECKS) - used
     assert not missing, f"suite never runs: {missing}"
 
@@ -984,6 +960,56 @@ def test_canonical_check_call_binds(name):
     assert not (rep.records[0].witness or "").startswith("error:")
 
 
+# each operation the checks must reach, by the function that performs it
+CANONICAL_OPS = [
+    ga.GPoly.__mul__, ga.left_derivative, ga.GPoly.weight, ga.scaling_check,
+    nq.apply_derivation, nq.commutator, nq.q_square, ga.Chart.degree, nq.euler_field,
+    sig.poisson_bracket, sig.hamiltonian_to_q, sig.q_to_hamiltonian, sig.master_equation,
+    sig.algebroid_to_q, sig.q_to_algebroid, sig.derived_bracket, sig.lambda_check,
+    ext.twisted_q, ext.gauge_change, ext.cartan_3form, ext.central_extension,
+    ext.affine_cocycle_check, ext.iota_encode, ext.symmetry_bracket, grids.wzw_product,
+    apath.integrate, apath.concatenate, apath.reparametrize_check, apath.action_integrate,
+    cx.GradedComplex.cohomology, cx.cohomology_pairing, cx.lemma3_orthogonality,
+    cx.boundary_lagrangian, cx.suspension_check, cx.lattice_model, cx.nmap_space,
+]
+
+
+def test_every_operation_reachable_from_dispatch_table():
+    """Running BINDINGS and the canonical call of every check through
+    `execute` enters the code of every canonical operation."""
+    prog = dsl.parse(BINDINGS + "".join(f"check {n} {a};\n" for n, a in CANONICAL.items()))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        execute(prog, Options(steps=50))
+    finally:
+        sys.setprofile(previous)
+    missing = [fn.__qualname__ for fn in CANONICAL_OPS if fn.__code__ not in entered]
+    assert not missing, f"operations no check reaches: {missing}"
+
+
+def test_each_check_is_bound_once(monkeypatch):
+    """`analyze` binds each check statement's arguments once and `execute`
+    runs on those bindings."""
+    bound = []
+    bind = session_module._check_args
+
+    def counted(session, st):
+        bound.append(st)
+        return bind(session, st)
+
+    monkeypatch.setattr(session_module, "_check_args", counted)
+    prog = dsl.parse(MINIMAL + " check euler Q; check q2 Q;")
+    assert [r.verdict for r in execute(prog).records] == ["pass"] * 3
+    assert bound == [st for st in prog.statements if isinstance(st, dsl.CheckStmt)]
+
+
 @pytest.mark.parametrize("name", sorted(CHECKS))
 def test_stray_check_argument_exits_2(tmp_path, capsys, name):
     args = CANONICAL[name]
@@ -1038,7 +1064,7 @@ def test_cli_checks_lists_each_form(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(CHECKS)
     for line, name in zip(lines, sorted(CHECKS)):
-        _, form, _, description = CHECKS[name]
+        _, form, description = CHECKS[name]
         pattern = rf"{re.escape(name)} +{re.escape(form)} +{re.escape(description)}"
         assert re.fullmatch(pattern, line), line
 

@@ -263,7 +263,7 @@ def test_q_square_is_hamiltonian_of_half_master(rng):
         theta = random_poly(cc.chart, rng).weight_component(3)
         Q = hamiltonian_to_q(cc, theta)
         half_master = poisson_bracket(cc, theta, theta) * Fraction(1, 2)
-        expected = hamiltonian_vector_field(cc, half_master, degree=2)
+        expected = hamiltonian_vector_field(cc, half_master)
         sq = q_square(Q)
         for v in cc.chart.gvars:
             assert sq.component(v.name) == expected.component(v.name)
