@@ -53,6 +53,9 @@ class GradedComplex:
             up = self.differentials.get(k + 1)
             if up is not None and any(mat_mul(up, M).rows):
                 raise StructureError(f"d^2 != 0 between degrees {k} and {k + 2}")
+        # (A, B) when this is tensor_complex(A, B) and B has no differential:
+        # then cocycles and cohomology are A's, tensored with B's basis
+        self._factors = None
 
     def dim(self, k: int) -> int:
         return self.components.get(k, 0)
@@ -66,6 +69,8 @@ class GradedComplex:
 
     def cocycles(self, k: int):
         """Basis of ker d_k, as vectors."""
+        if self._factors is not None:
+            return self._tensor_fiber_basis(k, self._factors[0].cocycles)
         return nullspace(self.d(k))
 
     def coboundaries(self, k: int):
@@ -78,6 +83,10 @@ class GradedComplex:
         The representatives are the cocycles, in `nullspace` order, that extend
         the column span of d_{k-1}, which lies in ker d_k since d^2 = 0; so
         dim H^k is their count."""
+        if self._factors is not None:
+            coh = self._factors[0].cohomology()
+            reps = {t: self._tensor_fiber_basis(t, lambda i: coh[i][1]) for t in self.degrees()}
+            return {t: (len(r), r) for t, r in reps.items()}
         out = {}
         degs = set(self.degrees())
         degs |= {k + 1 for k in self.degrees()}
@@ -92,6 +101,25 @@ class GradedComplex:
 
     def euler_characteristic(self) -> int:
         return sum(-d if k % 2 else d for k, d in self.components.items())
+
+    def _tensor_fiber_basis(self, t, vectors_of):
+        """The vectors v (x) e_b of degree t, for v in vectors_of(i) and e_b
+        the basis of B^j, over the blocks (i, j) of A (x) B in layout order:
+        v-major, fiber index fastest.
+
+        With d_B = 0, d_t is d_A (x) 1 on each block and each fiber index
+        apart, so its RREF is RREF(d_A) (x) 1 and its `nullspace` lists
+        z (x) e_b in this order; `extend_to_basis` picks within each block and
+        fiber index apart too, so the cohomology representatives are A's,
+        tensored the same way."""
+        A, B = self._factors
+        offsets, _ = _block_offsets(A.components, B.components)
+        out = []
+        for (i, j), off in offsets.get(t, {}).items():
+            n = B.dim(j)
+            for v in vectors_of(i):
+                out += ({off + a * n + b: x for a, x in v.items()} for b in range(n))
+        return out
 
 
 def _block_offsets(dims1, dims2):
@@ -135,7 +163,15 @@ def tensor_complex(A: GradedComplex, B: GradedComplex) -> GradedComplex:
                 entries += _kron_entries(_eye(A.dim(i)), B.d(j), up[(i, j + 1)], col0,
                                          -1 if i % 2 else 1)
         diffs[t] = Matrix.from_entries(comps[t + 1], comps[t], entries)
-    return GradedComplex(comps, diffs)
+    C = GradedComplex(comps, diffs)
+    if not _has_differential(B):
+        C._factors = (A, B)
+    return C
+
+
+def _has_differential(C: GradedComplex) -> bool:
+    """Some differential of C has a nonzero entry."""
+    return any(any(M.rows) for M in C.differentials.values())
 
 
 def tensor_symplectic(A: SymplecticComplex, B: SymplecticComplex) -> SymplecticComplex:
@@ -649,7 +685,7 @@ def lattice_model(surface, fiber) -> RelativeComplex:
     """
     if not isinstance(fiber, SymplecticComplex):
         fiber = SymplecticComplex(GradedComplex({0: fiber.dim}, {}), 0, {0: fiber.ip})
-    elif any(any(M.rows) for M in fiber.complex.differentials.values()):
+    elif _has_differential(fiber.complex):
         raise ValueError("a lattice fiber must have no differential")
     build = _SURFACES.get(surface[0])
     if build is None:

@@ -160,7 +160,6 @@ class Session:
     def __init__(self, options: Options | None = None):
         self.options = options or Options()
         self.bindings = {}       # name -> (kind, value)
-        self.tangents = {}       # name -> TangentChart (for charts carrying one)
         self.checks = []         # (statement, handler, values, options), bound by analyze
         self.rng = random.Random(self.options.seed)
 

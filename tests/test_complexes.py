@@ -411,6 +411,77 @@ def test_pairing_and_lemma3_use_matrix_products(monkeypatch):
     assert calls == []
 
 
+# -- Kunneth over a fiber without differential -------------------------------------
+# A tensor complex whose second factor has no differential takes its cocycles and
+# cohomology from the first factor; an unfactored copy eliminates the whole complex.
+
+
+def _unfactored(C):
+    return GradedComplex(C.components, C.differentials)
+
+
+def _fiber(st):
+    """A complex without differential in degrees 0 and n >= 1; for n = 1 its
+    d_0 may be given as an explicit zero matrix."""
+    def build(shape):
+        p, q, n, zero_d = shape
+        diffs = {0: [[0] * p for _ in range(q)]} if zero_d and n == 1 else {}
+        return GradedComplex({0: p, n: q}, diffs)
+    return st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
+                     st.booleans()).map(build)
+
+
+@given(_small_complex, _small_complex, lambda st: st.booleans(), _fiber)
+def test_fiber_kunneth_matches_whole_elimination(C1, C2, nested, B):
+    A = tensor_complex(C1, C2) if nested else C1
+    T = tensor_complex(A, B)
+    W = _unfactored(T)
+    assert T.cohomology() == W.cohomology()
+    for k in range(min(T.degrees()) - 1, max(T.degrees()) + 2):
+        assert T.cocycles(k) == W.cocycles(k)
+
+
+@pytest.mark.parametrize("fiber", sorted(_FIBERS))
+@pytest.mark.parametrize("surface", [("torus", 4, 3), ("cylinder", 3, 2), ("interval", 3),
+                                     ("disk", 2)], ids=lambda s: s[0])
+def test_lattice_reports_match_whole_elimination(surface, fiber):
+    """Pairing blocks and representatives, lemma 3 and the boundary
+    Lagrangian against the same model with unfactored complexes."""
+    R = lattice_model(surface, _FIBERS[fiber]())
+    whole = [S if not S.complex.components else
+             SymplecticComplex(_unfactored(S.complex), S.pairing_degree, S.pairings)
+             for S in (R.total, R.boundary)]
+    W = cx.RelativeComplex(*whole, R.restriction)
+    for S, S_whole in zip((R.total, R.boundary), whole):
+        if S.compatibility_violation() is None:
+            rep, rep_whole = cohomology_pairing(S), cohomology_pairing(S_whole)
+            assert rep == rep_whole and rep.representatives == rep_whole.representatives
+    assert lemma3_orthogonality(R) == lemma3_orthogonality(W)
+    assert boundary_lagrangian(R) == boundary_lagrangian(W)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fiber_with_differential_eliminates_whole_complex(n):
+    """Ball models have a differential: A (x) B is not A's cohomology tensored
+    with B's basis, and the cohomology comes from the whole complex."""
+    T = tensor_complex(circle_complex(3), ball_relative_complex(n))
+    W = _unfactored(T)
+    assert {k: d for k, d in T.betti().items() if d} == {n: 1, n + 1: 1}
+    assert T.cohomology() == W.cohomology()
+    assert all(T.cocycles(k) == W.cocycles(k) for k in range(-1, n + 3))
+
+
+def test_lattice_cohomology_eliminates_only_the_surface(monkeypatch):
+    """No kernel wider than a surface cochain space is computed for the
+    cohomology of a lattice model."""
+    R = lattice_model(("torus", 4, 4), so3())
+    widths = []
+    monkeypatch.setattr(cx, "nullspace", lambda A, fn=cx.nullspace: widths.append(A.ncols) or fn(A))
+    R.total.complex.cohomology()
+    K = torus_complex(4, 4)
+    assert widths and max(widths) == max(K.dim(k) for k in K.simplices)
+
+
 # -- N-map spaces -----------------------------------------------------------------
 
 

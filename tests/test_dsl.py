@@ -677,9 +677,18 @@ def test_cli_moduli_on_complex_with_boundary_exits_2(tmp_path, capsys):
 
 def test_moduli_certifies_euler_characteristic(monkeypatch):
     cohomology = GradedComplex.cohomology
+    running = []
 
     def drop_one_class(self):
-        out = cohomology(self)
+        # the total's cohomology is built from its surface factor's; drop
+        # the class from the outermost call, the total's, only
+        running.append(self)
+        try:
+            out = cohomology(self)
+        finally:
+            running.pop()
+        if running:
+            return out
         dim, reps = out[1]
         out[1] = (dim - 1, reps[1:])
         return out
