@@ -27,8 +27,7 @@ from .sigma_structures import (
     AlgebroidData, ConjugatePair, DarbouxChart, Hamiltonian, algebroid_to_q,
     courant_chart, courant_theta, derived_bracket, hamiltonian_to_q,
     hamiltonian_vector_field, lambda_check, master_equation, poisson_bracket,
-    poisson_chart, poisson_theta, q_to_algebroid, q_to_hamiltonian,
-    section_decode, section_encode,
+    q_to_algebroid, q_to_hamiltonian, section_encode,
 )
 from .forms import TangentChart, dorfman_bracket
 from .extensions import (
@@ -41,11 +40,10 @@ from .complexes import (
     BoundaryLagrangianReport, CohomologyPairing, GradedComplex,
     LemmaThreeReport, NMapSpace, RelativeComplex, SimplicialComplex,
     SuspensionReport, SymplecticComplex, ball_relative_complex,
-    boundary_lagrangian, circle_complex, closed_relative, cohomology_pairing,
-    cylinder_complex, disk_complex, double_complex, interval_complex,
-    lattice_model, lemma3_orthogonality, load_complex, nmap_space,
-    save_complex, suspension_check, tensor_complex, tensor_symplectic,
-    torus_complex, two_term_fiber,
+    boundary_lagrangian, closed_relative, cohomology_pairing, cylinder_complex,
+    disk_complex, interval_complex, lattice_model, lemma3_orthogonality,
+    load_complex, nmap_space, save_complex, suspension_check, tensor_complex,
+    tensor_symplectic, torus_complex, two_term_fiber,
 )
 
 __version__ = "0.1.0"
@@ -53,10 +51,9 @@ __version__ = "0.1.0"
 # float module -> the names served from it on first access
 _LAZY = {
     "apath": ("APath", "GroupoidElement", "action_integrate", "concatenate",
-              "constant_path", "group_residual", "integrate", "load_apath",
-              "reparametrize", "reparametrize_check", "reverse", "save_apath"),
-    "grids": ("GridMap", "load_gridmap", "save_gridmap", "wzw_cross_term",
-              "wzw_descent_residual", "wzw_product"),
+              "constant_path", "integrate", "load_apath", "reparametrize",
+              "reparametrize_check", "save_apath"),
+    "grids": ("GridMap", "load_gridmap", "save_gridmap", "wzw_cross_term", "wzw_product"),
 }
 _LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -16,9 +16,9 @@ import numpy as np
 from .errors import CompositionError, InconsistentPathError
 
 __all__ = [
-    "APath", "GroupoidElement", "integrate", "concatenate", "reverse",
+    "APath", "GroupoidElement", "integrate", "concatenate",
     "reparametrize", "reparametrize_check", "action_integrate",
-    "group_residual", "save_apath", "load_apath", "constant_path",
+    "save_apath", "load_apath", "constant_path",
 ]
 
 # largest base gap that `concatenate` joins, and largest
@@ -93,12 +93,6 @@ class GroupoidElement:
     holonomy: np.ndarray
     source: np.ndarray | None = None
     target: np.ndarray | None = None
-
-
-def group_residual(g: np.ndarray) -> float:
-    """Distance from the structure group: orthogonality defect and det - 1."""
-    return max(abs(float(np.linalg.det(g)) - 1.0),
-               float(np.max(np.abs(g.T @ g - np.eye(g.shape[0])))))
 
 
 def _lerp(times, vals, t, lo, hi):
@@ -183,14 +177,6 @@ def concatenate(p: APath, q: APath) -> APath:
     base = None
     if p.base is not None:
         base = np.concatenate([p.base, q.base])
-    return APath(times, mats, base)
-
-
-def reverse(p: APath) -> APath:
-    """Time reversal; integrates to the inverse holonomy."""
-    times = 1.0 - p.times[::-1]
-    mats = -p.mats[::-1]
-    base = None if p.base is None else p.base[::-1].copy()
     return APath(times, mats, base)
 
 

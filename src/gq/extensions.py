@@ -414,7 +414,7 @@ def symmetry_bracket(s1: SymmetryPair, s2: SymmetryPair) -> SymmetryPair:
 # resolve here, as the very objects of `grids`: the benchmark tracer looks up
 # `extensions.wzw_product` and wraps it wherever a module holds it.
 _GRID_NAMES = frozenset({"GridMap", "load_gridmap", "save_gridmap", "wzw_cross_term",
-                         "wzw_descent_residual", "wzw_product"})
+                         "wzw_product"})
 
 
 def __getattr__(name):

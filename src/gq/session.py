@@ -417,10 +417,6 @@ def execute(program: dsl.Program, options: Options | None = None) -> Report:
     return Report(options.seed, options.steps, options.tolerance, records)
 
 
-def run_source(source: str, options: Options | None = None) -> Report:
-    return execute(dsl.parse(source), options)
-
-
 # ---------------------------------------------------------------------------
 # Check implementations
 # ---------------------------------------------------------------------------

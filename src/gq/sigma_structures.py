@@ -88,11 +88,6 @@ class DarbouxChart:
         return f"DarbouxChart(n={self.n}, {inner})"
 
 
-def poisson_chart(m: int) -> DarbouxChart:
-    """T*[1]R^m: pairs (x_a: 0, p_a: 1), coefficient +1."""
-    return DarbouxChart(1, [ConjugatePair(f"x{a}", 0, f"p{a}", 1) for a in range(1, m + 1)])
-
-
 def courant_chart(m: int) -> DarbouxChart:
     """T*[2]T[1]R^m: pairs (x_a: 0, p_a: 2) with coefficient -1 and
     (theta_a: 1, chi_a: 1) with coefficient +1.
@@ -234,23 +229,6 @@ def skew_table(entries, n: int, coerce, what: str) -> dict:
     return {key: value for key, value in table.items() if value != 0}
 
 
-def poisson_theta(dchart: DarbouxChart, pi) -> GPoly:
-    """Hamiltonian lift of a bivector: Theta_pi = -1/2 pi^{ab} p_a p_b.
-
-    pi: mapping (a, b) -> weight-0 polynomial (or rational), antisymmetric
-    (`skew_table`); missing entries default to 0.
-    The normalization makes derived_bracket(Theta_pi, x^a, x^b) = pi^{ab}.
-    """
-    if dchart.n != 1:
-        raise GradingError("poisson_theta lives on a degree-1 chart")
-    chart = dchart.chart
-    upper = skew_table(pi, len(dchart.pairs),
-                       lambda v: v if isinstance(v, GPoly) else chart.const(v), "bivector entries")
-    # the (a,b) and (b,a) orders of the 1/2 pi^{ab} p_a p_b sum coincide
-    return chart.sum_of_products((-coeff * chart.var(f"p{a}"), chart.var(f"p{b}"))
-                                 for (a, b), coeff in upper.items())
-
-
 def courant_theta(dchart: DarbouxChart, eta: GPoly | None = None) -> GPoly:
     """Theta = theta^a p_a (+ eta) on the standard degree-2 chart.
 
@@ -289,14 +267,6 @@ def section_encode(dchart: DarbouxChart, X, xi) -> GPoly:
     for a, pr in enumerate(_odd_pairs(dchart)):
         pairs += ((as_poly(X[a]), chart.var(pr.p_name)), (as_poly(xi[a]), chart.var(pr.q_name)))
     return chart.sum_of_products(pairs)
-
-
-def section_decode(dchart: DarbouxChart, e: GPoly):
-    """Inverse of section_encode for weight-1 functions."""
-    odd = _odd_pairs(dchart)
-    X = [left_derivative(e, pr.p_name) for pr in odd]
-    xi = [left_derivative(e, pr.q_name) for pr in odd]
-    return X, xi
 
 
 # -- Lie algebroids as degree-1 Q-structures --------------------------------

@@ -6,7 +6,7 @@ Run from this directory: python generate.py
 import numpy as np
 
 from gq.apath import APath, save_apath
-from gq.extensions import GridMap, quat_exp, save_gridmap
+from gq.grids import GridMap, quat_exp, save_gridmap
 
 
 def so3_elem(v):

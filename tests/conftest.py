@@ -1,9 +1,13 @@
+import contextlib
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import gq
 from gq import Chart, GVar
 
 
@@ -45,6 +49,31 @@ def given(*builders):
         test.__name__ = prop.__name__
         return test
     return decorate
+
+
+@contextlib.contextmanager
+def entered_code():
+    """Yields the set of code objects of every Python function entered
+    inside the block, recorded by `sys.setprofile`."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield entered
+    finally:
+        sys.setprofile(previous)
+
+
+def public_names():
+    """The names `gq` exports: those `dir(gq)` lists, bar modules and
+    underscored names."""
+    return sorted(name for name in dir(gq)
+                  if not name.startswith("_") and not inspect.ismodule(getattr(gq, name)))
 
 
 def homogeneous_pieces(p):

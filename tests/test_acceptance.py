@@ -19,6 +19,7 @@ from gq import dsl
 from gq.cli import main as cli_main
 from gq.session import Options, execute, report_render
 from conftest import homogeneous_pieces, random_poly, so3_matrix, smooth_so3_path
+from models import circle_complex, double_complex, poisson_chart, poisson_theta
 
 SUITE = Path(__file__).resolve().parent.parent / "suite"
 F = Fraction
@@ -123,7 +124,7 @@ def test_criterion_02_q_square_equivalences():
 
 
 def test_criterion_03_poisson():
-    dc = gq.poisson_chart(3)
+    dc = poisson_chart(3)
     rng = random.Random(3)
     xnames = ["x1", "x2", "x3"]
 
@@ -162,7 +163,7 @@ def test_criterion_03_poisson():
     outcomes = {True: 0, False: 0}
     for _ in range(50):
         pi = {(a, b): rand_deg2(dc.chart) for (a, b) in ((1, 2), (1, 3), (2, 3))}
-        theta = gq.poisson_theta(dc, pi)
+        theta = poisson_theta(dc, pi)
         flat = gq.master_equation(dc, theta).is_zero()
         agree += flat == schouten_flat(pi)
         outcomes[flat] += 1
@@ -411,7 +412,7 @@ def test_criterion_08_apaths():
 def test_criterion_09_appendix():
     rng = random.Random(9)
     # Lemma 1 for n in {1,2,3} on three base complexes
-    bases = [gq.GradedComplex({0: 1}, {}), gq.circle_complex(4),
+    bases = [gq.GradedComplex({0: 1}, {}), circle_complex(4),
              gq.GradedComplex({0: 2, 1: 2}, {0: [[F(1), F(0)], [F(0), F(0)]]})]
     lemma1_ok = all(gq.suspension_check(C0, n).shifted_matches
                     for C0 in bases for n in (1, 2, 3))
@@ -420,7 +421,7 @@ def test_criterion_09_appendix():
     for _ in range(5):
         d0, d1 = rng.randint(1, 3), rng.randint(1, 3)
         M = [[F(rng.randint(-2, 2)) for _ in range(d0)] for _ in range(d1)]
-        S = gq.double_complex(gq.GradedComplex({0: d0, 1: d1}, {0: M}), 2)
+        S = double_complex(gq.GradedComplex({0: d0, 1: d1}, {0: M}), 2)
         rep = gq.lemma3_orthogonality(gq.closed_relative(S))
         doubles_ok &= rep.mode == "strict" and rep.equality
     interval = gq.lemma3_orthogonality(gq.lattice_model(("interval", 4), gq.two_term_fiber(2)))
@@ -467,9 +468,9 @@ def test_criterion_11_nmap():
 
     ok = True
     for m in (1, 2, 3):
-        N = gq.nmap_space(gq.poisson_chart(m), 1)
+        N = gq.nmap_space(poisson_chart(m), 1)
         ok &= N.total_dim == 2 * m and N.nondegenerate
-    N1 = gq.nmap_space(gq.poisson_chart(1), 1)
+    N1 = gq.nmap_space(poisson_chart(1), 1)
     ok &= N1.pairing == [[F(0), F(1)], [F(-1), F(0)]]
     N2 = gq.nmap_space(gq.courant_chart(1), 2)
     ok &= [(w, d) for _, w, d in N2.components] == [(0, 1), (2, 1), (1, 2), (1, 2)]

@@ -8,12 +8,29 @@ from scipy.linalg import expm
 
 from gq import (
     APath, CompositionError, InconsistentPathError, action_integrate,
-    concatenate, constant_path, group_residual, integrate, load_apath,
-    reparametrize, reparametrize_check, reverse, save_apath,
+    concatenate, constant_path, integrate, load_apath,
+    reparametrize, reparametrize_check, save_apath,
 )
 from conftest import smooth_so3_path, so3_matrix
 
 SUITE_DATA = Path(__file__).resolve().parent.parent / "suite" / "data"
+
+
+# -- oracles for `integrate` ---------------------------------------------------
+
+
+def group_residual(g: np.ndarray) -> float:
+    """Distance from the structure group: orthogonality defect and det - 1."""
+    return max(abs(float(np.linalg.det(g)) - 1.0),
+               float(np.max(np.abs(g.T @ g - np.eye(g.shape[0])))))
+
+
+def reverse(p: APath) -> APath:
+    """Time reversal; integrates to the inverse holonomy."""
+    times = 1.0 - p.times[::-1]
+    mats = -p.mats[::-1]
+    base = None if p.base is None else p.base[::-1].copy()
+    return APath(times, mats, base)
 
 
 # -- per-step reference integrator -----------------------------------------------

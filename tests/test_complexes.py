@@ -9,10 +9,9 @@ import pytest
 from gq import (
     CohomologyPairing, GradedComplex, LemmaThreeReport, RelativeComplex,
     SimplicialComplex, StructureError, SymplecticComplex, ball_relative_complex,
-    boundary_lagrangian, circle_complex, closed_relative, cohomology_pairing,
-    courant_chart, double_complex, lattice_model, lemma3_orthogonality,
-    load_complex, nmap_space, poisson_chart, save_complex, sl2, so3,
-    suspension_check, tensor_complex, tensor_symplectic, torus_complex,
+    boundary_lagrangian, closed_relative, cohomology_pairing, courant_chart,
+    lattice_model, lemma3_orthogonality, load_complex, nmap_space, save_complex,
+    sl2, so3, suspension_check, tensor_complex, tensor_symplectic, torus_complex,
     two_term_fiber,
 )
 from gq import complexes as cx
@@ -23,6 +22,7 @@ from gq.linalg import (
 from gq.sigma_structures import ConjugatePair, DarbouxChart
 
 from conftest import given
+from models import circle_complex, double_complex, poisson_chart
 
 F = Fraction
 

@@ -6,7 +6,6 @@ import itertools
 import json
 import random
 import re
-import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -25,7 +24,8 @@ from gq import sigma_structures as sig
 from gq import session as session_module
 from gq.cli import main as cli_main
 from gq.errors import ParseError, SemanticError
-from gq.session import CHECKS, Options, analyze, execute, report_render, run_source
+from gq.session import CHECKS, Options, analyze, execute, report_render
+from conftest import entered_code
 
 SUITE = Path(__file__).resolve().parent.parent / "suite"
 
@@ -48,13 +48,13 @@ def test_parse_minimal_program():
 def test_parse_sigma_program():
     prog = dsl.parse(SIGMA2)
     assert len(prog.statements) == 3
-    rep = run_source(SIGMA2)
+    rep = execute(dsl.parse(SIGMA2))
     assert rep.records[0].verdict == "pass"
 
 
 def test_negative_weight_is_semantic_error():
     with pytest.raises(SemanticError) as err:
-        run_source("chart X { x:-1; }")
+        execute(dsl.parse("chart X { x:-1; }"))
     assert "negative weight" in str(err.value)
 
 
@@ -66,12 +66,12 @@ def test_syntax_error_carries_position():
 
 def test_unknown_identifier_is_semantic_error():
     with pytest.raises(SemanticError):
-        run_source("check q2 NOPE;")
+        execute(dsl.parse("check q2 NOPE;"))
 
 
 def test_wrong_weight_hamiltonian_is_semantic_error():
     with pytest.raises(SemanticError):
-        run_source("sigma S deg 1 pairs { (x:0, p:1); } ham H on S = p;")
+        execute(dsl.parse("sigma S deg 1 pairs { (x:0, p:1); } ham H on S = p;"))
 
 
 def test_render_parse_roundtrip():
@@ -353,14 +353,14 @@ def test_data_file_fuzz(tmp_path_factory, kind):
 
 
 def test_report_text_shape():
-    rep = run_source(MINIMAL)
+    rep = execute(dsl.parse(MINIMAL))
     text = report_render(rep, "text").decode()
     assert text.startswith("PASS")
     assert "q2 Q" in text
 
 
 def test_machine_report_schema_fields():
-    rep = run_source(MINIMAL)
+    rep = execute(dsl.parse(MINIMAL))
     payload = json.loads(report_render(rep, "machine"))
     assert payload["format"] == "gq-report"
     assert payload["summary"] == {"pass": 1, "fail": 0, "degraded-mode": 0}
@@ -386,7 +386,7 @@ def test_failing_check_is_recorded_not_raised():
                    + x1*theta2*theta3*theta4;
     check master BAD;
     """
-    rep = run_source(src)
+    rep = execute(dsl.parse(src))
     assert rep.records[0].verdict == "fail"
     assert "theta" in rep.records[0].witness  # the witness polynomial is printed
     assert not rep.all_ok
@@ -394,24 +394,24 @@ def test_failing_check_is_recorded_not_raised():
 
 def test_degraded_mode_reported():
     src = "algebra G so3; complex K torus 3 3 fiber G; check lemma3 K;"
-    rep = run_source(src)
+    rep = execute(dsl.parse(src))
     assert rep.records[0].verdict == "degraded-mode"
     assert rep.all_ok  # degraded is not a failure
 
 
 def test_empty_program():
-    rep = run_source("")
+    rep = execute(dsl.parse(""))
     assert rep.records == [] and rep.all_ok
 
 
 def test_duplicate_binding_rejected():
     with pytest.raises(SemanticError):
-        run_source("chart X { x:0; } chart X { y:0; }")
+        execute(dsl.parse("chart X { x:0; } chart X { y:0; }"))
 
 
 def test_d_operator_needs_tangent_chart():
     with pytest.raises(SemanticError):
-        run_source("sigma S deg 1 pairs { (x:0, p:1); } ham H on S = d(x);")
+        execute(dsl.parse("sigma S deg 1 pairs { (x:0, p:1); } ham H on S = d(x);"))
 
 
 def test_save_and_load_statements(tmp_path):
@@ -694,7 +694,7 @@ def test_moduli_certifies_euler_characteristic(monkeypatch):
         return out
 
     monkeypatch.setattr(GradedComplex, "cohomology", drop_one_class)
-    (rec,) = run_source("algebra G so3; complex T torus 3 3 fiber G; check moduli T;").records
+    (rec,) = execute(dsl.parse("algebra G so3; complex T torus 3 3 fiber G; check moduli T;")).records
     assert (rec.verdict, rec.witness) == (
         "fail", "sum of (-1)^k dim H^k is 1, Euler characteristic 0")
 
@@ -809,7 +809,7 @@ def test_algebra_form_entries_stay_int():
     source = "algebra G dim 2 { ip 1 1 = 1; ip 2 2 = 1; }\ncheck jacobi G;"
     session = analyze(dsl.parse(source))
     assert all(type(x) is int for row in session.get("G").ip.rows for x in row.values())
-    assert [r.verdict for r in run_source(source).records] == ["pass"]
+    assert [r.verdict for r in execute(dsl.parse(source)).records] == ["pass"]
 
 
 def _jacobiator_reference(h, pi):
@@ -856,7 +856,7 @@ def test_dorfman_rejects_a_twisted_courant_hamiltonian():
     plain = "ham TH on S = theta1*p1 + theta2*p2 + theta3*p3;\n"
     twisted = "ham TH on S = theta1*p1 + theta2*p2 + theta3*p3 + 2*theta1*theta2*theta3;\n"
     for ham, verdict in ((plain, "pass"), (twisted, "fail")):
-        rep = run_source(COURANT_3 + ham + "check dorfman TH samples 5;")
+        rep = execute(dsl.parse(COURANT_3 + ham + "check dorfman TH samples 5;"))
         assert [r.verdict for r in rep.records] == [verdict]
     assert rep.records[0].witness == "derived bracket differs from the Dorfman oracle"
 
@@ -987,18 +987,8 @@ def test_every_operation_reachable_from_dispatch_table():
     """Running BINDINGS and the canonical call of every check through
     `execute` enters the code of every canonical operation."""
     prog = dsl.parse(BINDINGS + "".join(f"check {n} {a};\n" for n, a in CANONICAL.items()))
-    entered = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
+    with entered_code() as entered:
         execute(prog, Options(steps=50))
-    finally:
-        sys.setprofile(previous)
     missing = [fn.__qualname__ for fn in CANONICAL_OPS if fn.__code__ not in entered]
     assert not missing, f"operations no check reaches: {missing}"
 

