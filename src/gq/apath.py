@@ -33,6 +33,11 @@ class APath:
     Repeated time stamps mark jump discontinuities in a (concatenation
     points); the base curve, when present, must be continuous there.
     a(t) is linearly interpolated inside each smooth block.
+
+    `times`, `mats` and `base` are read-only views of the arrays passed in,
+    which the caller must not write into either. So a path is integrated
+    at most once per step count and side: `integrate` and
+    `action_integrate` keep each holonomy in `_holonomies`.
     """
 
     def __init__(self, times, mats, base=None):
@@ -48,8 +53,8 @@ class APath:
             raise ValueError("paths are parametrized over [0, 1]")
         if np.any(times[1:] < times[:-1]):   # np.diff could overflow
             raise ValueError("times must be non-decreasing")
-        self.times = times
-        self.mats = mats
+        self.times = _read_only(times)
+        self.mats = _read_only(mats)
         self.dim = mats.shape[1]
         if base is not None:
             base = np.asarray(base, dtype=float)
@@ -60,7 +65,8 @@ class APath:
             for j in np.nonzero(np.diff(times) == 0)[0]:
                 if not np.allclose(base[j], base[j + 1], atol=1e-9):
                     raise InconsistentPathError("base curve jumps at a concatenation point")
-        self.base = base
+        self.base = None if base is None else _read_only(base)
+        self._holonomies = {}
 
     def blocks(self):
         """Index ranges [lo, hi] of maximal smooth (strictly increasing) pieces."""
@@ -74,16 +80,13 @@ class APath:
         the discrete form of the compatibility gamma' = rho(a) gamma."""
         if self.base is None:
             raise ValueError("path has no base samples")
-        worst = 0.0
-        for j in range(len(self.times) - 1):
-            dt = self.times[j + 1] - self.times[j]
-            if dt == 0:
-                continue
-            slope = (self.base[j + 1] - self.base[j]) / dt
-            mid_a = 0.5 * (self.mats[j] + self.mats[j + 1])
-            mid_x = 0.5 * (self.base[j] + self.base[j + 1])
-            worst = max(worst, float(np.max(np.abs(slope - mid_a @ mid_x))))
-        return worst
+        dt = np.diff(self.times)
+        j = np.nonzero(dt)[0]      # a repeated time stamp has no slope
+        x0, x1 = self.base[j], self.base[j + 1]
+        slope = (x1 - x0) / dt[j, None]
+        mid_a = 0.5 * (self.mats[j] + self.mats[j + 1])
+        mid_x = 0.5 * (x0 + x1)
+        return float(np.max(np.abs(slope - (mid_a @ mid_x[:, :, None])[:, :, 0])))
 
 
 @dataclass
@@ -128,6 +131,12 @@ def _rk4_increments(a0, am, a1, h, left):
     return (h / 6.0) * (a0 + 2 * m2 + 2 * m3 + m4)
 
 
+def _read_only(a):
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def _integrate_blocks(p: APath, steps: int, left=True):
     """RK4 over every smooth block, splitting steps proportionally.
 
@@ -150,9 +159,18 @@ def _integrate_blocks(p: APath, steps: int, left=True):
     return np.eye(p.dim) + total
 
 
+def _holonomy(p: APath, steps: int, left: bool):
+    """`_integrate_blocks(p, steps, left)`, computed once per path (its
+    samples are read-only); each call returns a fresh copy."""
+    g = p._holonomies.get((steps, left))
+    if g is None:
+        g = p._holonomies[steps, left] = _integrate_blocks(p, steps, left)
+    return g.copy()
+
+
 def integrate(p: APath, steps: int = 10_000) -> GroupoidElement:
     """Holonomy of the path: solve g' = g a(t), g(0) = I; error O(steps^-4)."""
-    g = _integrate_blocks(p, steps, left=True)
+    g = _holonomy(p, steps, left=True)
     src = tgt = None
     if p.base is not None:
         src, tgt = p.base[0].copy(), p.base[-1].copy()
@@ -229,7 +247,7 @@ def action_integrate(p: APath, steps: int = 10_000,
     if res > _COMPAT_TOL:
         raise InconsistentPathError(
             f"anchor compatibility residual {res:.3e} exceeds {_COMPAT_TOL:.3e}")
-    g = _integrate_blocks(p, steps, left=False)
+    g = _holonomy(p, steps, left=False)
     target = g @ p.base[0]
     drift = float(np.max(np.abs(target - p.base[-1])))
     if drift > transport_tol:

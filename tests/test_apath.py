@@ -7,10 +7,11 @@ import pytest
 from scipy.linalg import expm
 
 from gq import (
-    APath, CompositionError, InconsistentPathError, action_integrate,
+    APath, CompositionError, InconsistentPathError, action_integrate, apath,
     concatenate, constant_path, integrate, load_apath,
     reparametrize, reparametrize_check, save_apath,
 )
+from gq.cli import main as cli_main
 from conftest import smooth_so3_path, so3_matrix
 
 SUITE_DATA = Path(__file__).resolve().parent.parent / "suite" / "data"
@@ -344,3 +345,93 @@ def test_load_apath_rejects_non_finite(tmp_path, bad):
     f.write_text(f"dim 1\n0.0 0.5 1.0\n1.0 0.5 {bad}\n")   # in the base column
     with pytest.raises(ValueError, match="finite"):
         load_apath(f)
+
+
+# -- one holonomy per (steps, side) ------------------------------------------------
+
+
+@pytest.fixture
+def rk4_calls(monkeypatch):
+    """The (steps, left) of every uncached RK4 product, in call order."""
+    calls = []
+    product = apath._integrate_blocks
+
+    def spy(p, steps, left=True):
+        calls.append((steps, left))
+        return product(p, steps, left)
+
+    monkeypatch.setattr(apath, "_integrate_blocks", spy)
+    return calls
+
+
+def test_paths_suite_integrates_each_path_once(rk4_calls, capsys):
+    assert cli_main(["run", str(SUITE_DATA.parent / "06_paths.gq")]) == 0
+    # exp and reparam share CONST's holonomy, reparam PA and PB reuse the
+    # holonomies that `holonomy PA PB` computed: 11 products before the memo
+    assert len(rk4_calls) == 8
+
+
+def test_memo_hit_is_a_fresh_copy_of_the_product(rk4_calls, nprng):
+    p = smooth_so3_path(nprng)
+    g1 = integrate(p, 700).holonomy
+    g2 = integrate(p, 700).holonomy
+    assert rk4_calls == [(700, True)]
+    assert np.array_equal(g2, apath._integrate_blocks(p, 700, True))
+    assert not np.shares_memory(g1, g2)
+    g1[:] = 0.0
+    assert np.array_equal(integrate(p, 700).holonomy, g2)
+    integrate(p, 701)
+    assert rk4_calls[-1] == (701, True)
+
+
+def test_left_and_right_holonomies_are_kept_apart(rk4_calls, nprng):
+    p = _oracle_paths(nprng)["uneven"]
+    g_right = action_integrate(p, 300).holonomy
+    g_left = integrate(p, 300).holonomy
+    assert np.max(np.abs(g_left - g_right)) > 1e-3      # gl(3) samples do not commute
+    assert np.array_equal(integrate(p, 300).holonomy, g_left)
+    assert np.array_equal(action_integrate(p, 300).holonomy, g_right)
+    assert rk4_calls == [(300, False), (300, True)]
+    assert np.array_equal(g_left, apath._integrate_blocks(p, 300, True))
+    assert np.array_equal(g_right, apath._integrate_blocks(p, 300, False))
+
+
+def test_path_samples_are_read_only_views():
+    X = so3_matrix([0.3, 0.1, -0.2])
+    ts = np.linspace(0.0, 1.0, 5)
+    mats = np.repeat(X[None], 5, axis=0)
+    p = constant_path(X, nsamples=5, base_point=np.array([1.0, 2.0, 3.0]))
+    q = APath(ts, mats, p.base)
+    assert np.shares_memory(q.mats, mats)                # a view, not a copy
+    for a in (p.times, p.mats, p.base, q.times, q.mats):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+
+
+# -- oracle for `APath.anchor_residual` ------------------------------------------
+
+
+def _oracle_anchor_residual(p):
+    worst = 0.0
+    for j in range(len(p.times) - 1):
+        dt = p.times[j + 1] - p.times[j]
+        if dt == 0:
+            continue
+        slope = (p.base[j + 1] - p.base[j]) / dt
+        mid_a = 0.5 * (p.mats[j] + p.mats[j + 1])
+        mid_x = 0.5 * (p.base[j] + p.base[j + 1])
+        worst = max(worst, float(np.max(np.abs(slope - mid_a @ mid_x))))
+    return worst
+
+
+def test_anchor_residual_matches_scalar_loop():
+    p = load_apath(SUITE_DATA / "action_so3.apath")
+    q = constant_path(so3_matrix([-0.3, 0.4, 0.9]), nsamples=13, base_point=p.base[-1])
+    pq = concatenate(p, q)
+    assert len(pq.blocks()) == 2                         # one repeated time stamp
+    for path in (p, pq):
+        # the matrix-vector sums may run in another order; the terms are O(1)
+        assert abs(path.anchor_residual() - _oracle_anchor_residual(path)) <= 1e-14
+        assert path.anchor_residual() > 1e-6
