@@ -256,17 +256,11 @@ def action_integrate(p: APath, steps: int = 10_000,
     return GroupoidElement(g, p.base[0].copy(), target)
 
 
-def constant_path(X, nsamples: int = 2, base_point=None) -> APath:
-    """The constant path a(t) = X, optionally with the transported base curve."""
+def constant_path(X, nsamples: int = 2) -> APath:
+    """The constant path a(t) = X, with no base curve."""
     X = np.asarray(X, dtype=float)
     times = np.linspace(0.0, 1.0, nsamples)
-    mats = np.repeat(X[None, :, :], nsamples, axis=0)
-    base = None
-    if base_point is not None:
-        from scipy.linalg import expm
-
-        base = np.stack([expm(t * X) @ np.asarray(base_point, dtype=float) for t in times])
-    return APath(times, mats, base)
+    return APath(times, np.repeat(X[None, :, :], nsamples, axis=0))
 
 
 # -- text format --------------------------------------------------------------

@@ -8,10 +8,11 @@ from scipy.linalg import expm
 
 from gq import (
     APath, CompositionError, InconsistentPathError, action_integrate, apath,
-    concatenate, constant_path, integrate, load_apath,
+    concatenate, constant_path, dsl, integrate, load_apath,
     reparametrize, reparametrize_check, save_apath,
 )
 from gq.cli import main as cli_main
+from gq.session import Options, _expm, execute
 from conftest import smooth_so3_path, so3_matrix
 
 SUITE_DATA = Path(__file__).resolve().parent.parent / "suite" / "data"
@@ -32,6 +33,14 @@ def reverse(p: APath) -> APath:
     mats = -p.mats[::-1]
     base = None if p.base is None else p.base[::-1].copy()
     return APath(times, mats, base)
+
+
+def based_constant_path(X, nsamples, x0) -> APath:
+    """`constant_path(X, nsamples)` with the base curve exp(tX) x0 that its
+    group transport follows."""
+    p = constant_path(X, nsamples)
+    x0 = np.asarray(x0, dtype=float)
+    return APath(p.times, p.mats, np.stack([expm(t * p.mats[0]) @ x0 for t in p.times]))
 
 
 # -- per-step reference integrator -----------------------------------------------
@@ -125,6 +134,51 @@ def test_exp_of_shipped_constant_path():
     p = load_apath(SUITE_DATA / "const_so3.apath")
     g = integrate(p, 10_000).holonomy
     assert np.max(np.abs(g - expm(p.mats[0]))) <= 1e-14
+
+
+# -- the reference exponential of `check exp` -------------------------------------
+
+
+def test_expm_matches_scipy(nprng):
+    worst = 0.0
+    for n in range(1, 7):
+        for norm in np.geomspace(1e-3, 50.0, 12):
+            X = nprng.normal(size=(n, n))
+            X *= norm / np.max(np.sum(np.abs(X), axis=0))
+            ref = expm(X)
+            err = np.max(np.abs(_expm(X) - ref)) / max(1.0, np.max(np.abs(ref)))
+            worst = max(worst, float(err))
+    assert worst <= 1e-10
+
+
+def test_expm_matches_rodrigues(nprng):
+    for length in np.linspace(0.0, 100.0, 41):
+        v = nprng.normal(size=3)
+        v *= length / np.linalg.norm(v)
+        K = so3_matrix(v)
+        if length == 0:
+            ref = np.eye(3)
+        else:
+            ref = (np.eye(3) + np.sin(length) / length * K
+                   + (1 - np.cos(length)) / length ** 2 * (K @ K))
+        assert np.max(np.abs(_expm(K) - ref)) <= 1e-12
+
+
+def test_expm_is_exact_on_nilpotent_and_zero():
+    N = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert np.array_equal(_expm(N), np.eye(2) + N)
+    assert np.array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+
+
+@pytest.mark.parametrize("X", [
+    np.array([[0.0, 2.5], [0.0, 0.0]]),
+    so3_matrix(60.0 * np.array([0.6, -0.48, 0.64])),
+], ids=["sl2_nilpotent", "so3_norm_60"])
+def test_check_exp_passes(tmp_path, X):
+    save_apath(constant_path(X), tmp_path / "c.apath")
+    rep = execute(dsl.parse('load path C "c.apath"; check exp C;'), Options(base_dir=tmp_path))
+    (rec,) = rep.records
+    assert rec.verdict == "pass", rec.witness
 
 
 def test_blocks_match_scalar_loop():
@@ -225,22 +279,22 @@ def test_convergence_order_four(nprng):
 
 def test_endpoint_mismatch_rejected():
     X = so3_matrix([1.0, 0, 0])
-    p = constant_path(X, nsamples=21, base_point=np.array([1.0, 0, 0]))
-    q = constant_path(X, nsamples=21, base_point=np.array([0.0, 1.0, 0]))
+    p = based_constant_path(X, 21, np.array([1.0, 0, 0]))
+    q = based_constant_path(X, 21, np.array([0.0, 1.0, 0]))
     with pytest.raises(CompositionError):
         concatenate(p, q)
 
 
 def test_action_integrate_constant():
     X = so3_matrix([0.8, -1.1, 0.5])
-    p = constant_path(X, nsamples=101, base_point=np.array([1.0, 0, 0]))
+    p = based_constant_path(X, 101, np.array([1.0, 0, 0]))
     el = action_integrate(p, 10_000)
     assert np.max(np.abs(el.target - expm(X) @ np.array([1.0, 0, 0]))) < 1e-8
     assert np.max(np.abs(el.holonomy @ el.source - el.target)) < 1e-8
 
 
 def test_action_zero_path():
-    p = constant_path(np.zeros((3, 3)), nsamples=11, base_point=np.array([0.0, 1.0, 0]))
+    p = based_constant_path(np.zeros((3, 3)), 11, np.array([0.0, 1.0, 0]))
     el = action_integrate(p, 100)
     assert np.array_equal(el.source, el.target)
     assert np.max(np.abs(el.holonomy - np.eye(3))) < 1e-12
@@ -249,12 +303,12 @@ def test_action_zero_path():
 def test_action_closed_base_curve_nontrivial_holonomy():
     # rotation about z by 2 pi: the base point returns, the holonomy is exp(X)
     X = so3_matrix([0, 0, 2 * np.pi])
-    p = constant_path(X, nsamples=201, base_point=np.array([0.0, 0, 1.0]))
+    p = based_constant_path(X, 201, np.array([0.0, 0, 1.0]))
     el = action_integrate(p, 10_000)
     assert np.max(np.abs(el.target - el.source)) < 1e-8
     # g(1) = exp(X) = identity here, so use a half turn for a nontrivial one
     Y = so3_matrix([0, 0, np.pi])
-    q = constant_path(Y, nsamples=201, base_point=np.array([0.0, 0, 1.0]))
+    q = based_constant_path(Y, 201, np.array([0.0, 0, 1.0]))
     el2 = action_integrate(q, 10_000)
     assert np.max(np.abs(el2.target - el2.source)) < 1e-8  # axis point is fixed
     assert np.max(np.abs(el2.holonomy - np.eye(3))) > 1.0  # but g(1) != I
@@ -279,7 +333,7 @@ def test_apath_file_roundtrip(tmp_path, nprng):
     assert np.array_equal(p.mats, q.mats)
     assert q.base is None
     X = so3_matrix([0.3, 0.1, -0.2])
-    pb = constant_path(X, nsamples=7, base_point=np.array([1.0, 2.0, 3.0]))
+    pb = based_constant_path(X, 7, np.array([1.0, 2.0, 3.0]))
     save_apath(pb, f)
     qb = load_apath(f)
     assert np.array_equal(pb.base, qb.base)
@@ -310,8 +364,8 @@ def test_reparametrize_matches_scalar_loop_unbased(nprng):
 
 def test_reparametrize_matches_scalar_loop_based():
     X, Y = so3_matrix([0.8, -1.1, 0.5]), so3_matrix([-0.3, 0.4, 0.9])
-    p = constant_path(X, nsamples=21, base_point=np.array([1.0, 0.0, 0.0]))
-    q = constant_path(Y, nsamples=13, base_point=p.base[-1])
+    p = based_constant_path(X, 21, np.array([1.0, 0.0, 0.0]))
+    q = based_constant_path(Y, 13, p.base[-1])
     pq = concatenate(p, q)
     phi = _smoothstep_phi(1001)
     mats, base = _oracle_reparametrize(pq, phi)
@@ -400,7 +454,7 @@ def test_path_samples_are_read_only_views():
     X = so3_matrix([0.3, 0.1, -0.2])
     ts = np.linspace(0.0, 1.0, 5)
     mats = np.repeat(X[None], 5, axis=0)
-    p = constant_path(X, nsamples=5, base_point=np.array([1.0, 2.0, 3.0]))
+    p = based_constant_path(X, 5, np.array([1.0, 2.0, 3.0]))
     q = APath(ts, mats, p.base)
     assert np.shares_memory(q.mats, mats)                # a view, not a copy
     for a in (p.times, p.mats, p.base, q.times, q.mats):
@@ -428,7 +482,7 @@ def _oracle_anchor_residual(p):
 
 def test_anchor_residual_matches_scalar_loop():
     p = load_apath(SUITE_DATA / "action_so3.apath")
-    q = constant_path(so3_matrix([-0.3, 0.4, 0.9]), nsamples=13, base_point=p.base[-1])
+    q = based_constant_path(so3_matrix([-0.3, 0.4, 0.9]), 13, p.base[-1])
     pq = concatenate(p, q)
     assert len(pq.blocks()) == 2                         # one repeated time stamp
     for path in (p, pq):

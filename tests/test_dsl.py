@@ -639,6 +639,24 @@ def test_cli_non_finite_residual_fails_with_null(tmp_path, capsys):
         ("holonomy", "fail", None, "non-finite residual nan")]
 
 
+def test_cli_exp_of_overflowing_norm_fails_with_null(tmp_path, capsys):
+    """A constant path whose 1-norm overflows to inf: the reference
+    exponential has no finite scaling, so it is non-finite too, and `exp`
+    fails with no residual, no traceback and nothing on stderr."""
+    row = " 1e308 -1e308 1e308 0\n"
+    (tmp_path / "wide.apath").write_text(f"dim 2\n0.0{row}1.0{row}")
+    f, report = tmp_path / "p.gq", tmp_path / "r.json"
+    f.write_text('load path B "wide.apath";\ncheck exp B;\n')
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli_main(["run", str(f), "--steps", "10", "--report", str(report)])
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1 and capsys.readouterr().err == ""
+    (rec,) = json.loads(report.read_text(), parse_constant=_reject_constant)["checks"]
+    assert (rec["verdict"], rec["residual"], rec["witness"]) == (
+        "fail", None, "non-finite residual nan")
+
+
 def test_cli_negative_nmap_dimension_exits_2(tmp_path, capsys):
     f = tmp_path / "p.gq"
     f.write_text("sigma S deg 1 pairs { (x:0, p:1); } nmap N on S dim -1; check nmap N;")

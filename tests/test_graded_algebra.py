@@ -497,6 +497,23 @@ def test_no_private_name_crosses_modules():
     assert crossings == []
 
 
+def test_no_module_imports_scipy():
+    """numpy is the one runtime dependency: no gq module imports scipy, at
+    module level or inside a function."""
+    found = []
+    for path in sorted(Path(gq.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Import):
+                modules = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom) and not n.level:
+                modules = [n.module]
+            else:
+                continue
+            found += [f"{path.name}:{n.lineno}: {m}" for m in modules
+                      if m.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_signs_are_int_parities():
     """No `(-1) ** e` in the package: it is a float for e < 0, and a float
     sign makes exact elimination inexact."""

@@ -81,7 +81,7 @@ def test_exact_programs_do_not_load_numpy(tmp_path):
     for label, code, loaded in exact:
         assert (code, loaded) == (0, []), label
     # the float programs still pass, and they are what loads numpy
-    assert paths == ["suite/06_paths.gq", 0, ["numpy", "scipy"]]
+    assert paths == ["suite/06_paths.gq", 0, ["numpy"]]
     assert wzw[:2] == ["suite/08_wzw.gq", 0]
 
 
